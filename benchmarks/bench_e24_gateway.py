@@ -21,6 +21,13 @@ the sweep lands the same way on any host):
   bounded by deadline-feasibility shedding and ``queue_full``
   rejections instead of an unbounded queue.
 
+A third leg is **closed-loop**: one caller sends exact-path statements
+back to back, the traffic of an agent client probing sequentially.  Its
+arrival rate *is* ``1 / service``, so ``rho`` reads saturation for a
+caller no window can ever find company for; the outcome-driven gate
+must keep it on the inline fast path (inline share >= 0.95) at a p50
+within 10% of a direct ``agent.submit``.
+
 Every trial asserts the byte-identity contract: each tenant's gateway
 answers equal a fresh warmed reference agent replaying that tenant's
 queries sequentially in the gateway's serving order (answers, modes and
@@ -282,6 +289,58 @@ def _run_rate(session, workload, warm_queries, factor, seed):
     }
 
 
+def _run_closed_loop(session, workload):
+    """One back-to-back caller of exact-path statements vs a direct agent.
+
+    The training budget is never exhausted, so every request runs
+    ``ExactEngine.execute`` and learns — the cost profile of the
+    fallback — and both sides see the same statements in the same
+    order.  Direct service is measured before and after the gateway
+    pass and pooled, so host-speed drift cancels out of the ratio.
+    """
+    config = AgentConfig(training_budget=10**9)
+    queries = workload.batch(N_REQUESTS)
+
+    def direct():
+        agent = SEAAgent(session.engine, config)
+        seconds = []
+        for query in queries:
+            t0 = time.perf_counter()
+            agent.submit(query)
+            seconds.append(time.perf_counter() - t0)
+        return seconds
+
+    async def through_gateway():
+        gateway = ServingGateway(
+            session, agent_config=config, own_session=False
+        )
+        seconds = []
+        async with gateway:
+            for query in queries:
+                t0 = time.perf_counter()
+                await gateway.submit(query, tenant=TENANTS[0])
+                seconds.append(time.perf_counter() - t0)
+            return seconds, gateway.stats()
+
+    gc.collect()
+    gc.disable()
+    try:
+        direct_seconds = direct()
+        gateway_seconds, stats = asyncio.run(through_gateway())
+        direct_seconds += direct()
+    finally:
+        gc.enable()
+    direct_p50 = float(np.percentile(direct_seconds, 50))
+    gateway_p50 = float(np.percentile(gateway_seconds, 50))
+    return {
+        "direct_p50_ms": direct_p50 * 1e3,
+        "p50_ms": gateway_p50 * 1e3,
+        "p50_ratio": gateway_p50 / direct_p50,
+        "inline_share": stats["inline_total"] / stats["served_total"],
+        "rho": stats["batcher"]["rho"],
+    }
+
+
 def run_sweep():
     session = SEASession(n_nodes=8)
     table = gaussian_mixture_table(
@@ -310,12 +369,21 @@ def run_sweep():
             [t["goodput_qps"] for t in trials]
         )["iqr"]
         sweep.append(medianed)
+    # At least three sandwiches even when the sweep runs one trial: a
+    # 10% gate on one ~0.1 s pass would measure the host, not the path.
+    closed_trials = [
+        _run_closed_loop(session, workload) for _ in range(max(3, N_TRIALS))
+    ]
+    closed = {
+        key: trial_stats([t[key] for t in closed_trials])["median"]
+        for key in closed_trials[0]
+    }
     session.close()
-    return sweep
+    return sweep, closed
 
 
 def test_e24_gateway(benchmark):
-    sweep = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
+    sweep, closed = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
     headers = [
         "rate_factor", "offered_qps", "goodput_qps", "seq_goodput_qps",
         "p50_ms", "p99_ms", "reject_rate", "batched_frac",
@@ -348,6 +416,9 @@ def test_e24_gateway(benchmark):
         ),
         "high_rate_p99_ms": high["p99_ms"],
         "high_rate_deadline_ms": high["deadline_ms"],
+        "closed_loop_p50_ratio": closed["p50_ratio"],
+        "closed_loop_inline_share": closed["inline_share"],
+        "closed_loop_rho": closed["rho"],
     }
     write_result("e24_gateway", table, headers=headers, rows=rows, extra=extra)
     record_serving_gateway_benchmark("e24_gateway", **extra)
@@ -375,9 +446,19 @@ def test_e24_gateway(benchmark):
     if FULL_SCALE:
         # The crossover satellite: batching engages only under load.
         assert high["batched_fraction"] > low["batched_fraction"]
+    # Closed loop, one caller: rate x service reads saturation (the leg
+    # is vacuous otherwise), yet nobody can join its windows — it must
+    # stay inline and cost what a direct submit costs.
+    assert closed["rho"] > GatewayConfig().passthrough_rho, closed
+    assert closed["inline_share"] >= 0.95, closed
+    assert closed["p50_ratio"] <= 1.10, (
+        f"closed-loop p50 {closed['p50_ms']:.3f}ms vs direct "
+        f"{closed['direct_p50_ms']:.3f}ms"
+    )
     benchmark.extra_info["goodput_vs_sequential"] = extra[
         "high_rate_goodput_vs_sequential"
     ]
     benchmark.extra_info["passthrough_p50_ratio"] = extra[
         "passthrough_p50_ratio"
     ]
+    benchmark.extra_info["closed_loop_p50_ratio"] = closed["p50_ratio"]

@@ -309,6 +309,9 @@ def _gateway_headlines(entry: Dict[str, Any]) -> List[Headline]:
     ratio = entry.get("passthrough_p50_ratio")
     if isinstance(ratio, (int, float)):
         out.append(("passthrough_p50_ratio", float(ratio), "lower", 0.0))
+    closed = entry.get("closed_loop_p50_ratio")
+    if isinstance(closed, (int, float)):
+        out.append(("closed_loop_p50_ratio", float(closed), "lower", 0.0))
     return out
 
 

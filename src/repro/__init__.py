@@ -136,6 +136,7 @@ from repro.serve import (
     GatewayAnswer,
     GatewayClosedError,
     GatewayConfig,
+    GatewayFailedError,
     ServingGateway,
     TenantHandle,
 )
@@ -242,6 +243,7 @@ __all__ = [
     "GatewayAnswer",
     "GatewayClosedError",
     "GatewayConfig",
+    "GatewayFailedError",
     "ServingGateway",
     "TenantHandle",
     "SEASession",

@@ -310,11 +310,14 @@ class DistributedGridIndex:
 
     def _cell_of(self, points: np.ndarray) -> np.ndarray:
         scaled = (points - self._lows) / self._span * self.cells_per_dim
-        return np.clip(scaled.astype(int), 0, self.cells_per_dim - 1)
+        # Clip before the cast: a NaN coordinate (or NaN bounds) has no
+        # integer value and files under cell 0 — where the bare cast put
+        # it on x86, under a RuntimeWarning.
+        scaled = np.nan_to_num(scaled, nan=0.0)
+        return np.clip(scaled, 0, self.cells_per_dim - 1).astype(int)
 
     def _clip_cell(self, point: np.ndarray) -> np.ndarray:
-        scaled = (point - self._lows) / self._span * self.cells_per_dim
-        return np.clip(scaled.astype(int), 0, self.cells_per_dim - 1)
+        return self._cell_of(point)
 
     def _cell_box_distance(self, key: CellKey, point: np.ndarray) -> float:
         cell_lo = self._lows + np.asarray(key) / self.cells_per_dim * self._span

@@ -94,10 +94,34 @@ class EncodedColumn:
     encoded_bytes: int
     #: The decoded dtype.
     dtype: np.dtype
+    #: Cached :meth:`zone` (columns are immutable after build).
+    _zone: Optional[Tuple[float, float]] = None
 
     def decode(self) -> np.ndarray:
         """The full stored column, bitwise equal to the ingested array."""
         raise NotImplementedError
+
+    def _distinct(self) -> np.ndarray:
+        """Some array holding exactly the stored values (any multiplicity)."""
+        return self.decode()
+
+    def zone(self) -> Tuple[float, float]:
+        """The column's exact ``(min, max)`` — NaN when it holds a NaN row.
+
+        The scan kernels' own zone map: a range conjunct whose bounds
+        contain the zone (:func:`repro.cluster.synopsis.zone_within`)
+        selects every row and need not be evaluated.  Read off the
+        encoded domain (dictionary entries, run values), once.
+        """
+        zone = self._zone
+        if zone is None:
+            values = self._distinct()
+            if values.shape[0] == 0:
+                zone = (float("inf"), float("-inf"))
+            else:
+                zone = (float(values.min()), float(values.max()))
+            self._zone = zone
+        return zone
 
     def masked(self, mask: np.ndarray) -> np.ndarray:
         """Rows where ``mask`` is true — ``decode()[mask]`` bitwise."""
@@ -182,6 +206,9 @@ class DictionaryColumn(EncodedColumn):
 
     def decode(self) -> np.ndarray:
         return self.values[self.codes]
+
+    def _distinct(self) -> np.ndarray:
+        return self.values
 
     def masked(self, mask: np.ndarray) -> np.ndarray:
         return self.values[self.codes[mask]]
@@ -279,6 +306,9 @@ class RunLengthColumn(EncodedColumn):
 
     def decode(self) -> np.ndarray:
         return np.repeat(self.run_values, self.run_lengths)
+
+    def _distinct(self) -> np.ndarray:
+        return self.run_values
 
     def masked(self, mask: np.ndarray) -> np.ndarray:
         if self.run_values.shape[0] == 0:

@@ -14,7 +14,11 @@ pruning:
   ``col.min()``/``col.max()`` of the stored column, so the disjointness
   test ``maximum < lo or minimum > hi`` against a query's bounding box
   uses exact float comparisons — a pruned partition provably contains no
-  matching row, and skipping it leaves the answer bit-identical.
+  matching row, and skipping it leaves the answer bit-identical.  One
+  NaN row makes both NaN; the disjointness test above and the cover
+  test :func:`zone_within` are written so that every comparison
+  involving a NaN *fails the claim*, and such a partition is simply
+  scanned.
 * **Sums are scan-identical.** ``total``/``ftotal``/``fsumsq`` are
   computed with the *same numpy expressions* the aggregates' partial
   paths use over the same array, so a partition *fully covered* by a
@@ -34,7 +38,7 @@ query-time scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +49,17 @@ from repro.data.tabular import Table
 # fsumsq (5 doubles).  The row count is shared across columns.
 _STATS_BYTES_PER_COLUMN = 5 * 8
 _ROWCOUNT_BYTES = 8
+
+
+def zone_within(minimum, maximum, lo, hi) -> bool:
+    """True iff every value of a column with this zone lies in ``[lo, hi]``.
+
+    A proof, not a failed refutation: a NaN zone bound (the column holds
+    a NaN row, which no range selects) or a NaN query bound makes a
+    comparison False and therefore the claim False.  An empty column's
+    zone is ``(inf, -inf)``, which lies within any box.
+    """
+    return bool(lo <= minimum and maximum <= hi)
 
 
 @dataclass(frozen=True)
@@ -119,8 +134,8 @@ class PartitionSynopsis:
 
         Exact float comparisons against the stored minima/maxima: a True
         result is a proof, so skipping the partition is loss-free.  An
-        empty partition is disjoint from every box.  Unknown columns make
-        the test conservatively False.
+        empty partition is disjoint from every box.  Unknown columns and
+        NaN-bearing columns make the test conservatively False.
         """
         if self.n_rows == 0:
             return True
@@ -138,7 +153,8 @@ class PartitionSynopsis:
         Only meaningful for selections whose bounding box *is* their
         semantics (``Selection.box_is_exact``); then a covered partition
         selects all of its rows and decomposable aggregates can be
-        answered from the synopsis.
+        answered from the synopsis.  A column holding a NaN row is never
+        covered: no range selects that row.
         """
         if self.n_rows == 0:
             return True
@@ -146,7 +162,7 @@ class PartitionSynopsis:
             stats = self.columns.get(name)
             if stats is None:
                 return False
-            if stats.minimum < lo or stats.maximum > hi:
+            if not zone_within(stats.minimum, stats.maximum, lo, hi):
                 return False
         return True
 
@@ -155,7 +171,9 @@ class PartitionSynopsis:
         """The synopsis after ``piece`` was appended, yielding ``grown``.
 
         Minima/maxima and the row count merge incrementally (exactly —
-        ``min`` over a concatenation is the ``min`` of the mins); the
+        ``min`` over a concatenation is the ``min`` of the mins, NaN
+        included: ``np.minimum`` propagates it, python's ``min`` would
+        drop it depending on argument order); the
         sums are recomputed over the grown columns because pairwise float
         summation is not split-associative and the short-circuit contract
         is bitwise equality with a fresh scan.
@@ -169,8 +187,8 @@ class PartitionSynopsis:
                 continue
             colf = col.astype(float)
             columns[name] = ColumnStats(
-                minimum=min(old.minimum, float(piece_col.min())),
-                maximum=max(old.maximum, float(piece_col.max())),
+                minimum=float(np.minimum(old.minimum, piece_col.min())),
+                maximum=float(np.maximum(old.maximum, piece_col.max())),
                 total=float(col.sum()),
                 ftotal=float(colf.sum()),
                 fsumsq=float((colf**2).sum()),
@@ -233,6 +251,9 @@ def synopses_consistent(
         if set(synopsis.columns) != set(fresh.columns):
             return False
         for name, stats in fresh.columns.items():
-            if synopsis.columns[name] != stats:
+            # NaN statistics (a NaN row) match themselves.
+            if not np.array_equal(
+                astuple(synopsis.columns[name]), astuple(stats), equal_nan=True
+            ):
                 return False
     return True

@@ -167,6 +167,21 @@ class GatewayClosedError(AdmissionRejectedError):
         AdmissionRejectedError.__init__(self, "closed", tenant, detail)
 
 
+class GatewayFailedError(GatewayClosedError):
+    """The gateway's serve loop died; ``cause`` is what killed it.
+
+    Raised to every request that was queued at that moment and to every
+    later ``submit``: a dead consumer must fail its callers, not hang
+    them.
+    """
+
+    def __init__(self, cause: BaseException, tenant: str = "") -> None:
+        GatewayClosedError.__init__(
+            self, tenant, detail=f"serve loop died: {cause!r}"
+        )
+        self.cause = cause
+
+
 class RoutingError(ReproError):
     """A geo-distributed query could not be routed to any capable node."""
 

@@ -34,6 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.columnar import ColumnarPartition
+from repro.cluster.synopsis import zone_within
 from repro.data.tabular import Table
 from repro.queries.aggregates import (
     Aggregate,
@@ -113,15 +114,24 @@ def encoded_mask(part: ColumnarPartition, selection: Selection) -> np.ndarray:
     """``selection.mask`` evaluated on encoded columns, bitwise equal.
 
     Range selections run per-encoding kernels (dictionary-domain
-    comparison, run skipping, fused raw compares); other selections
+    comparison, run skipping, fused raw compares) for the *residual*
+    conjuncts only: one whose bounds contain the column's zone selects
+    every row (a proof that fails on NaN, see ``zone_within``), so its
+    all-true mask is neither built nor and-ed in.  Other selections
     decode just their predicate columns into a scratch table — column
     pruning still applies, only the late-materialization step is lost.
     """
     if type(selection) is RangeSelection:
-        out = np.ones(part.n_rows, dtype=bool)
+        out = None
         for name, lo, hi in zip(selection.columns, selection.lows, selection.highs):
-            out &= part.column(name).range_mask(lo, hi)
-        return out
+            column = part.column(name)
+            if zone_within(*column.zone(), lo, hi):
+                continue
+            if out is None:
+                out = column.range_mask(lo, hi)  # a fresh array: ours to and into
+            else:
+                out &= column.range_mask(lo, hi)
+        return np.ones(part.n_rows, dtype=bool) if out is None else out
     scratch = Table(
         {name: part.column(name).decode() for name in selection.columns},
         name=part.name,

@@ -75,6 +75,17 @@ class Count(Aggregate):
         return float(sum(partials))
 
 
+def _masked(col: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``col[mask]`` for a boolean ``mask``: the same rows in the same order.
+
+    Gathered by index because numpy's boolean gather branches per row
+    and mispredicts on scattered masks (31 250 float64 rows at 50 %:
+    ~120 us against ~30 us; EXPERIMENTS.md E21 has the table, including
+    the contiguous masks where the index form is the slower one).
+    """
+    return col[mask.nonzero()[0]]
+
+
 class _ColumnAggregate(Aggregate):
     def __init__(self, column: str) -> None:
         self.column = column
@@ -91,7 +102,7 @@ class Sum(_ColumnAggregate):
         return self.compute(table)
 
     def partial_from_mask(self, table: Table, mask: np.ndarray) -> float:
-        col = table.column(self.column)[mask]
+        col = _masked(table.column(self.column), mask)
         if col.size == 0:
             return 0.0
         return float(col.sum())
@@ -112,7 +123,7 @@ class Mean(_ColumnAggregate):
         return (float(table.column(self.column).sum()), table.n_rows)
 
     def partial_from_mask(self, table: Table, mask: np.ndarray) -> Tuple[float, int]:
-        col = table.column(self.column)[mask]
+        col = _masked(table.column(self.column), mask)
         if col.size == 0:
             return (0.0, 0)
         return (float(col.sum()), int(col.size))
@@ -138,7 +149,7 @@ class Std(_ColumnAggregate):
     def partial_from_mask(
         self, table: Table, mask: np.ndarray
     ) -> Tuple[float, float, int]:
-        col = table.column(self.column)[mask].astype(float)
+        col = _masked(table.column(self.column), mask).astype(float)
         return (float(col.sum()), float((col**2).sum()), int(col.size))
 
     def merge(self, partials: List[Tuple[float, float, int]]) -> float:
@@ -163,7 +174,7 @@ class Min(_ColumnAggregate):
         return self.compute(table)
 
     def partial_from_mask(self, table: Table, mask: np.ndarray) -> float:
-        col = table.column(self.column)[mask]
+        col = _masked(table.column(self.column), mask)
         if col.size == 0:
             return float("inf")
         return float(col.min())
@@ -184,7 +195,7 @@ class Max(_ColumnAggregate):
         return self.compute(table)
 
     def partial_from_mask(self, table: Table, mask: np.ndarray) -> float:
-        col = table.column(self.column)[mask]
+        col = _masked(table.column(self.column), mask)
         if col.size == 0:
             return float("-inf")
         return float(col.max())
@@ -208,7 +219,7 @@ class Variance(_ColumnAggregate):
     def partial_from_mask(
         self, table: Table, mask: np.ndarray
     ) -> Tuple[float, float, int]:
-        col = table.column(self.column)[mask].astype(float)
+        col = _masked(table.column(self.column), mask).astype(float)
         return (float(col.sum()), float((col**2).sum()), int(col.size))
 
     def merge(self, partials: List[Tuple[float, float, int]]) -> float:
@@ -234,7 +245,7 @@ class Median(_ColumnAggregate):
         return table.column(self.column).astype(float)
 
     def partial_from_mask(self, table: Table, mask: np.ndarray) -> np.ndarray:
-        return table.column(self.column)[mask].astype(float)
+        return _masked(table.column(self.column), mask).astype(float)
 
     def merge(self, partials: List[np.ndarray]) -> float:
         values = np.concatenate(partials) if partials else np.empty(0)
@@ -261,7 +272,7 @@ class Quantile(_ColumnAggregate):
         return table.column(self.column).astype(float)
 
     def partial_from_mask(self, table: Table, mask: np.ndarray) -> np.ndarray:
-        return table.column(self.column)[mask].astype(float)
+        return _masked(table.column(self.column), mask).astype(float)
 
     def merge(self, partials: List[np.ndarray]) -> float:
         values = np.concatenate(partials) if partials else np.empty(0)
@@ -298,8 +309,8 @@ class Correlation(Aggregate):
     def partial_from_mask(
         self, table: Table, mask: np.ndarray
     ) -> Tuple[float, float, float, float, float, int]:
-        a = table.column(self.column_a)[mask].astype(float)
-        b = table.column(self.column_b)[mask].astype(float)
+        a = _masked(table.column(self.column_a), mask).astype(float)
+        b = _masked(table.column(self.column_b), mask).astype(float)
         return (
             float(a.sum()),
             float(b.sum()),

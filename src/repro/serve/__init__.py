@@ -9,7 +9,11 @@ byte-identical to a sequential session serving the same queries in the
 gateway's serving order.
 """
 
-from repro.common.errors import AdmissionRejectedError, GatewayClosedError
+from repro.common.errors import (
+    AdmissionRejectedError,
+    GatewayClosedError,
+    GatewayFailedError,
+)
 from repro.serve.admission import AdmissionQueue, Request
 from repro.serve.batcher import AdaptiveBatcher
 from repro.serve.gateway import GatewayAnswer, GatewayConfig, ServingGateway
@@ -23,6 +27,7 @@ __all__ = [
     "GatewayAnswer",
     "GatewayClosedError",
     "GatewayConfig",
+    "GatewayFailedError",
     "Request",
     "ServingGateway",
     "TenantHandle",

@@ -26,7 +26,32 @@ than an exact fallback scan), and a single fallback spike must not
 masquerade as saturation.
 
 Their product ``rho = lambda * s`` is the offered utilisation of the
-single serving loop.  The policy:
+single serving loop, and it *sizes* a batching window.  It cannot decide
+whether one should be opened at all, because it cannot tell one
+closed-loop caller from saturation: a caller that sends its next
+request the moment the previous answer arrives has, by construction, an
+arrival rate of ``1 / service`` — ``rho`` reads ~0.9 for that lone
+caller exactly as it does for an open loop offering 0.9 of capacity,
+and a window opened for the lone caller waits for company that cannot
+come (its next request is behind the answer the window is delaying).
+What does tell them apart is the *outcome* of a window, so the rule is:
+
+    a window must have gained arrivals recently to be opened;
+    ``rate x service`` only sizes it.
+
+The serve loop reports every batching decision through
+:meth:`AdaptiveBatcher.note_window` — how many requests were queued
+beside the one that woke it once the window ended.  After
+``BARREN_LIMIT`` consecutive windows that gained nobody the gate shuts:
+:meth:`~AdaptiveBatcher.window` reads zero whatever ``rho`` says, so
+the gateway serves inline, exactly as at low load.  While shut, one
+request in ``PROBE_EVERY`` is given a real window (a *probe*): the
+caller's coroutine yields, anyone else waiting on the event loop gets
+to enqueue, and the first window that gains an arrival re-opens the
+gate — a second caller or an open-loop burst is batched again within
+``PROBE_EVERY`` requests, and the lone caller pays one window in fifty.
+
+With the gate open the policy is the sizing rule:
 
 * ``rho <= passthrough_rho`` — the loop can keep up serving requests
   one at a time; the window collapses to **zero** and requests pass
@@ -36,7 +61,8 @@ single serving loop.  The policy:
   batch of ``ceil(headroom * rho)`` requests at the observed rate,
   clamped to ``[0, max_window]`` — heavier overload grows the batch
   (more amortisation per call) while the clamp bounds the queueing
-  delay batching itself can add.
+  delay batching itself can add.  The window is an upper bound on the
+  wait: the gateway ends it the moment the target batch is queued.
 
 An arrival after more than ``max_gap`` of silence resets the rate
 window (a new burst episode, not a continuation), so one idle night
@@ -53,6 +79,12 @@ from collections import deque
 from typing import Deque
 
 from repro.common.validation import require
+
+#: Consecutive windows that gained no arrival before the gate shuts.
+BARREN_LIMIT = 3
+#: While the gate is shut, one arrival in this many probes with a real
+#: window — the most a lone caller pays, and how soon company is found.
+PROBE_EVERY = 50
 
 
 class AdaptiveBatcher:
@@ -82,6 +114,8 @@ class AdaptiveBatcher:
         self._notes_since_refresh = 0
         self._rate = 0.0
         self._service = 0.0
+        self._barren = 0  # consecutive windows that gained nobody
+        self._since_window = 0  # arrivals since the last window outcome
         self.n_arrivals = 0
         self.n_batches = 0
 
@@ -89,6 +123,7 @@ class AdaptiveBatcher:
     def note_arrival(self, now: float) -> None:
         """Feed one admitted arrival timestamp into the rate window."""
         self.n_arrivals += 1
+        self._since_window += 1
         if self._arrivals and now - self._arrivals[-1] > self.max_gap:
             self._arrivals.clear()  # new burst episode after idleness
         self._arrivals.append(now)
@@ -101,6 +136,17 @@ class AdaptiveBatcher:
         self.n_batches += 1
         self._services.append(max(host_seconds, 0.0) / size)
         self._note()
+
+    def note_window(self, gained: int) -> None:
+        """Feed one batching decision's outcome.
+
+        ``gained`` is how many requests were queued beside the one that
+        woke the serve loop once its window ended (reached the target,
+        or ran out).  Any company re-opens the gate at once; a run of
+        ``BARREN_LIMIT`` empty-handed windows shuts it.
+        """
+        self._since_window = 0
+        self._barren = 0 if gained > 0 else self._barren + 1
 
     def _note(self) -> None:
         self._notes_since_refresh += 1
@@ -139,17 +185,18 @@ class AdaptiveBatcher:
         return max(1, int(math.ceil(self.headroom * rho)))
 
     def window(self) -> float:
-        """Seconds the serve loop should wait to let a batch form.
+        """Seconds the serve loop may wait to let a batch form.
 
-        Zero (pure pass-through) whenever the loop is keeping up; at
-        overload, the expected accumulation time of the target batch,
+        Zero (pure pass-through) whenever the loop is keeping up, and
+        whenever recent windows gained nobody (between probes);
+        otherwise the expected accumulation time of the target batch,
         clamped so batching never adds more than ``max_window`` of
         deliberate delay.
         """
         target = self.target_batch()
-        if target <= 1:
+        if target <= 1 or self._rate <= 0.0:
             return 0.0
-        if self._rate <= 0.0:
+        if self._barren >= BARREN_LIMIT and self._since_window < PROBE_EVERY:
             return 0.0
         return min(self.max_window, (target - 1) / self._rate)
 
@@ -161,6 +208,7 @@ class AdaptiveBatcher:
             "rho": self.rho,
             "window": self.window(),
             "target_batch": self.target_batch(),
+            "barren_windows": self._barren,
             "n_arrivals": self.n_arrivals,
             "n_batches": self.n_batches,
         }

@@ -17,13 +17,16 @@ The serving pipeline, in order:
    fairness), effective-deadline order within a tenant (urgency), and a
    starvation guard that forces service of any request older than the
    guard regardless of whose turn it is.
-3. **Micro-batching** (:mod:`repro.serve.batcher`): the serve loop waits
-   up to an adaptive window for concurrent arrivals to coalesce into a
-   single ``submit_batch`` call.  The window is tuned online from the
-   observed arrival rate and batch service time and collapses to zero
-   at low load — plus an *inline fast path* that serves a lone request
-   directly in ``submit`` (no queue hop, no thread hop), so pass-through
-   latency is a direct agent call plus microseconds of bookkeeping.
+3. **Micro-batching** (:mod:`repro.serve.batcher`): the serve loop
+   holds a dispatch open until the target batch is queued — ``submit``
+   signals it on enqueue — or an adaptive window runs out, so concurrent
+   arrivals coalesce into a single ``submit_batch`` call.  The window is
+   sized online from the observed arrival rate and batch service time,
+   and is zero at low load and whenever recent windows gained no
+   arrival (one back-to-back caller) — plus an *inline fast path* that
+   serves a lone request directly in ``submit`` (no queue hop, no thread
+   hop), so pass-through latency is a direct agent call plus
+   microseconds of bookkeeping.
 4. **Execution**: per-tenant :class:`~repro.serve.tenant.TenantHandle`
    agents (own predictors + own answer-cache partition) over the shared
    engine, run on a single ``sea-gateway`` thread via
@@ -47,6 +50,7 @@ from repro.common.errors import (
     AdmissionRejectedError,
     ConfigurationError,
     GatewayClosedError,
+    GatewayFailedError,
 )
 from repro.common.validation import require
 from repro.core.agent import AgentConfig
@@ -166,8 +170,11 @@ class ServingGateway:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._task: Optional[asyncio.Task] = None
         self._wake: Optional[asyncio.Event] = None
+        self._window: Optional[asyncio.Future] = None  # the open batching window
+        self._failure: Optional[BaseException] = None  # what killed the serve loop
         self._pool = None  # lazy single-thread executor ("sea-gateway")
         self._busy = False  # a batch is executing on the serving thread
+        self._inflight: List[Request] = []  # taken from the queue, unresolved
         self._closing = False
         self._closed = False
 
@@ -205,6 +212,7 @@ class ServingGateway:
             self._loop = loop
             self._wake = asyncio.Event()
             self._task = loop.create_task(self._serve_loop())
+            self._task.add_done_callback(self._serve_loop_exited)
         elif self._loop is not loop:
             raise ConfigurationError(
                 "this ServingGateway is bound to a different event loop"
@@ -240,7 +248,10 @@ class ServingGateway:
                     )
                     self.counters.reject("closed")
             self._wake.set()
-            await self._task
+            self._end_window()
+            # wait(), not await: a dead loop's exception was already
+            # handed to every waiter by _serve_loop_exited.
+            await asyncio.wait([self._task])
             self._task = None
         self._closed = True
         if self._pool is not None:
@@ -268,8 +279,12 @@ class ServingGateway:
         ``config.default_timeout``.  Raises
         :class:`AdmissionRejectedError` (reasons ``queue_full`` /
         ``tenant_quota`` / ``deadline`` / ``closed``) when the request
-        cannot be served within policy.
+        cannot be served within policy, and its subclass
+        :class:`GatewayFailedError` once the serve loop has died.
         """
+        if self._failure is not None:
+            self.counters.reject("closed")
+            raise GatewayFailedError(self._failure, tenant) from self._failure
         if self._closed or self._closing:
             self.counters.reject("closed")
             raise GatewayClosedError(tenant=tenant)
@@ -295,13 +310,14 @@ class ServingGateway:
                 "deadline", tenant=tenant, detail="dead on arrival"
             )
         # Inline fast path: nothing queued, nothing executing, and the
-        # batcher says the loop is keeping up — serve right here on the
-        # loop thread.  This is what makes low-load p50
-        # indistinguishable from a direct agent submit (no future, no
-        # hop, no window).  Once utilisation crosses the pass-through
-        # threshold, requests go through the queue instead, keeping the
-        # event loop free to admit arrivals while batches execute on
-        # the serving thread.
+        # batcher would open no window — the loop is keeping up, or
+        # recent windows gained nobody (one back-to-back caller) — so
+        # serve right here on the loop thread.  This is what makes
+        # low-load and lone-caller p50 indistinguishable from a direct
+        # agent submit (no future, no hop, no window).  While windows
+        # are worth opening, requests go through the queue instead,
+        # keeping the event loop free to admit arrivals while batches
+        # execute on the serving thread.
         if (
             not self._busy
             and len(self.queue) == 0
@@ -326,6 +342,11 @@ class ServingGateway:
             raise
         self.batcher.note_arrival(now)
         self._wake.set()
+        if (
+            self._window is not None
+            and len(self.queue) >= self.batcher.target_batch()
+        ):
+            self._end_window()
         return await request.future
 
     async def submit_many(
@@ -369,6 +390,7 @@ class ServingGateway:
     async def _serve_loop(self) -> None:
         """The single consumer: shed, pick, coalesce, execute, resolve."""
         while True:
+            self._inflight = []
             await self._wake.wait()
             if len(self.queue) == 0:
                 if self._closing:
@@ -378,12 +400,8 @@ class ServingGateway:
             now = self._time()
             self._shed(now)
             window = self.batcher.window()
-            if (
-                window > 0.0
-                and not self._closing
-                and len(self.queue) < self.batcher.target_batch()
-            ):
-                await asyncio.sleep(window)
+            if window > 0.0 and not self._closing and len(self.queue) > 0:
+                await self._coalesce(window)
                 now = self._time()
                 self._shed(now)
             picked = self._pick(now)
@@ -405,6 +423,7 @@ class ServingGateway:
             self.drr.charge(tenant, len(requests))
             if not requests:
                 continue
+            self._inflight = requests
             handle = self._handles[tenant]
 
             def timed_serve(handle=handle, requests=requests):
@@ -453,6 +472,50 @@ class ServingGateway:
                         )
                     )
             self._note_served(requests, size, host, inline=False)
+
+    async def _coalesce(self, window: float) -> None:
+        """Hold the dispatch open until the target batch is queued.
+
+        Event-driven: ``submit`` ends the window the moment
+        ``len(queue) >= target_batch()`` (and ``close`` ends it at
+        once); ``window`` only bounds the wait.  The batcher then
+        learns the outcome — how many requests are queued beside the
+        one that woke the loop — which is what keeps the next window
+        worth opening.
+        """
+        if len(self.queue) < self.batcher.target_batch():
+            self._window = self._loop.create_future()
+            timer = self._loop.call_later(window, self._end_window)
+            try:
+                await self._window
+            finally:
+                timer.cancel()
+                self._window = None
+        self.batcher.note_window(len(self.queue) - 1)
+
+    def _end_window(self) -> None:
+        if self._window is not None and not self._window.done():
+            self._window.set_result(None)
+
+    def _serve_loop_exited(self, task: asyncio.Task) -> None:
+        """Supervise the consumer: it may only return from ``close()``.
+
+        Any other exit (a batcher or scheduling error outside the
+        narrow ``try`` around ``handle.serve``, a cancellation) would
+        leave queued futures unresolved and every later ``submit``
+        queueing behind them forever.  Fail them all, typed, with the
+        cause attached.
+        """
+        if task.cancelled():
+            cause: BaseException = asyncio.CancelledError("serve loop cancelled")
+        else:
+            cause = task.exception()
+            if cause is None:
+                return
+        self._failure = cause
+        for request in self._inflight + self.queue.drain():
+            if self._fail(request, GatewayFailedError(cause, request.tenant)):
+                self.counters.reject("closed")
 
     def _pick(self, now: float):
         """Choose the next tenant to serve and its dispatch budget.
@@ -541,9 +604,12 @@ class ServingGateway:
         )
 
     @staticmethod
-    def _fail(request: Request, exc: BaseException) -> None:
+    def _fail(request: Request, exc: BaseException) -> bool:
+        """Fail ``request``'s waiter; False if it was already resolved."""
         if request.future is not None and not request.future.done():
             request.future.set_exception(exc)
+            return True
+        return False
 
     def _serving_pool(self):
         if self._pool is None:

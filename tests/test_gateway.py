@@ -24,9 +24,11 @@ from repro.serve import (
     DeficitRoundRobin,
     GatewayClosedError,
     GatewayConfig,
+    GatewayFailedError,
     Request,
     ServingGateway,
 )
+from repro.serve.batcher import BARREN_LIMIT, PROBE_EVERY
 from repro.session import SEASession
 
 
@@ -73,6 +75,9 @@ class FakeBatcher:
 
     def note_batch(self, size, host):
         self.n_batches += 1
+
+    def note_window(self, gained):
+        pass
 
     def window(self):
         return self._window
@@ -276,6 +281,47 @@ class TestAdaptiveBatcher:
         assert batcher.snapshot()["arrival_rate"] == pytest.approx(
             1000.0, rel=0.05
         )
+
+    def _overloaded(self):
+        batcher = AdaptiveBatcher(max_window=0.02, passthrough_rho=0.75)
+        for i in range(32):
+            batcher.note_arrival(i * 1e-4)  # 10k/s
+            batcher.note_batch(1, 1e-3)  # 1ms each -> rho = 10
+        return batcher
+
+    def test_barren_windows_shut_the_gate_whatever_rho_says(self):
+        batcher = self._overloaded()
+        target = batcher.target_batch()
+        for _ in range(BARREN_LIMIT - 1):
+            batcher.note_window(0)
+        assert batcher.window() > 0.0  # not yet: a short lull is not a verdict
+        batcher.note_window(0)
+        assert batcher.rho > 1.0
+        assert batcher.window() == 0.0
+        # rate x service still sizes the batch; it just opens no window.
+        assert batcher.target_batch() == target
+
+    def test_shut_gate_probes_one_request_in_fifty(self):
+        batcher = self._overloaded()
+        for _ in range(BARREN_LIMIT):
+            batcher.note_window(0)
+        now = 32 * 1e-4
+        for cycle in range(3):
+            for i in range(PROBE_EVERY):
+                assert batcher.window() == 0.0
+                now += 1e-4
+                batcher.note_arrival(now)
+            assert batcher.window() > 0.0  # the probe
+            batcher.note_window(0)  # ...gained nobody: shut again
+
+    def test_one_window_with_company_reopens_the_gate(self):
+        batcher = self._overloaded()
+        for _ in range(BARREN_LIMIT + 4):
+            batcher.note_window(0)
+        assert batcher.window() == 0.0
+        batcher.note_window(3)
+        assert batcher.window() > 0.0
+        assert batcher.snapshot()["barren_windows"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -663,4 +709,250 @@ class TestServingGateway:
         ):
             assert key in stats
         assert stats["batcher"]["n_arrivals"] == 1
+        session.close()
+
+    def test_dead_serve_loop_fails_its_callers_instead_of_hanging(
+        self, event_loop
+    ):
+        session = make_session()
+        workload = make_workload()
+        gateway = self._gateway(session)
+
+        class BrokenBatcher(FakeBatcher):
+            def note_window(self, gained):
+                raise RuntimeError("controller bug")
+
+        gateway.batcher = BrokenBatcher(window=0.001, target=100)
+
+        async def run():
+            await gateway.start()
+            queued = await asyncio.wait_for(
+                asyncio.gather(
+                    *(
+                        gateway.submit(q, tenant="alice", timeout=30.0)
+                        for q in workload.batch(3)
+                    ),
+                    return_exceptions=True,
+                ),
+                timeout=10.0,
+            )
+            with pytest.raises(GatewayFailedError) as later:
+                await asyncio.wait_for(
+                    gateway.submit(workload.next_query(), tenant="bob"),
+                    timeout=10.0,
+                )
+            await asyncio.wait_for(gateway.close(), timeout=10.0)
+            return queued, later.value
+
+        queued, later = event_loop.run_until_complete(run())
+        assert len(queued) == 3
+        for error in queued:
+            assert isinstance(error, GatewayFailedError)
+            assert isinstance(error, GatewayClosedError)  # same family
+            assert isinstance(error.cause, RuntimeError)
+            assert error.tenant == "alice"
+        assert isinstance(later.cause, RuntimeError)
+        assert later.tenant == "bob"
+        assert gateway.closed
+        assert gateway.counters.rejected["closed"] == 4
+        session.close()
+
+
+# ---------------------------------------------------------------------------
+# The outcome-driven window: a real AdaptiveBatcher on an injected clock
+# ---------------------------------------------------------------------------
+class TickClock:
+    """Scheduling clock that advances one microsecond per reading.
+
+    Arrivals land microseconds apart while service (``perf_counter``)
+    stays real, so ``rate x service`` reads as heavy saturation however
+    many callers there are — the regime where only a window's outcome
+    can tell a lone back-to-back caller from a crowd.
+    """
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def __call__(self):
+        self.now += 1e-6
+        return self.now
+
+
+class TestOutcomeDrivenWindow:
+    def _gateway(self, session, clock=None, **config_overrides):
+        # A budget no test exhausts: every request is served by the
+        # exact engine (mode "train"), the fallback's cost profile.
+        return ServingGateway(
+            session,
+            GatewayConfig(**config_overrides),
+            agent_config=agent_config(training_budget=100_000),
+            time_fn=clock or TickClock(),
+            own_session=False,
+        )
+
+    def _assert_replays(self, session, gateway, answers, tenant="alice"):
+        handle = gateway.tenant(tenant)
+        reference = SEAAgent(
+            session.engine, agent_config(training_budget=100_000)
+        )
+        records = reference.submit_batch(handle.served_queries)
+        position = {id(q): i for i, q in enumerate(handle.served_queries)}
+        realigned = [records[position[id(a.query)]] for a in answers]
+        assert_records_identical(answers, realigned)
+
+    def test_lone_back_to_back_caller_is_served_inline(self, event_loop):
+        session = make_session()
+        queries = make_workload().batch(500)
+        gateway = self._gateway(session)
+        inline = []
+
+        async def run():
+            answers = []
+            async with gateway:
+                for query in queries:
+                    before = gateway.counters.inline_total
+                    answers.append(await gateway.submit(query, tenant="alice"))
+                    inline.append(gateway.counters.inline_total > before)
+            return answers
+
+        answers = event_loop.run_until_complete(run())
+        stats = gateway.stats()
+        assert stats["served_total"] == 500
+        assert all(a.mode == "train" for a in answers)
+        # rate x service reads saturation throughout...
+        assert stats["batcher"]["rho"] > 1.0
+        assert stats["batcher"]["target_batch"] >= 2
+        # ...yet once a few windows gained nobody the caller is inline.
+        assert stats["batcher"]["barren_windows"] >= BARREN_LIMIT
+        settled = inline[32:]
+        assert sum(settled) / len(settled) >= 0.97
+        # The only requests that queue are the probes, PROBE_EVERY apart;
+        # everything between them waits for nothing at all.
+        probes = [i for i, was_inline in enumerate(inline) if not was_inline]
+        late = [i for i in probes if i >= 32]
+        assert late, "the gate must keep probing for company"
+        assert all(b - a > PROBE_EVERY for a, b in zip(probes, probes[1:]) if a >= 32)
+        for i, answer in enumerate(answers):
+            if inline[i]:
+                assert answer.queued_sec == 0.0
+            assert answer.batch_size == 1
+        assert stats["coalesced_total"] == 0
+        self._assert_replays(session, gateway, answers)
+        session.close()
+
+    def test_concurrent_callers_still_coalesce(self, event_loop):
+        session = make_session()
+        queries = make_workload().batch(8 * 16)
+        gateway = self._gateway(session)
+
+        async def caller(mine):
+            return [
+                await gateway.submit(q, tenant="alice", timeout=30.0)
+                for q in mine
+            ]
+
+        async def run():
+            async with gateway:
+                chunks = await asyncio.gather(
+                    *(caller(queries[i::8]) for i in range(8))
+                )
+            return [a for chunk in chunks for a in chunk]
+
+        answers = event_loop.run_until_complete(run())
+        stats = gateway.stats()
+        assert stats["served_total"] == 128
+        assert stats["served_total"] / stats["batches_total"] > 2.0
+        assert stats["coalesced_total"] > 64
+        # Company at every decision: the gate never shut.
+        assert stats["batcher"]["barren_windows"] < BARREN_LIMIT
+        self._assert_replays(session, gateway, answers)
+        session.close()
+
+    def test_window_ends_the_moment_the_target_batch_is_queued(
+        self, event_loop
+    ):
+        session = make_session()
+        queries = make_workload().batch(20)
+        gateway = self._gateway(session, clock=lambda: 100.0, max_window=3.0)
+        # A real controller with its estimates pinned (refresh never
+        # fires): 1 arrival/s x 2 s of service -> rho 2, target batch 4,
+        # and a 3-second window that a blind sleep would sit out.
+        batcher = AdaptiveBatcher(max_window=3.0, history=64, refresh=10**9)
+        for i in range(64):
+            batcher.note_arrival(float(i))
+            batcher.note_batch(1, 2.0)
+        pinned = batcher.snapshot()
+        assert pinned["target_batch"] == 4 and pinned["window"] == 3.0
+        gateway.batcher = batcher
+        rounds = 5
+
+        async def run():
+            answers = []
+            async with gateway:
+                started = event_loop.time()
+                for r in range(rounds):
+                    mine = queries[4 * r : 4 * r + 4]
+                    first = asyncio.ensure_future(
+                        gateway.submit(mine[0], tenant="alice", timeout=1e6)
+                    )
+                    await asyncio.sleep(0.005)  # the window is open, one queued
+                    assert not first.done()
+                    answers += await asyncio.gather(
+                        first,
+                        *(
+                            gateway.submit(q, tenant="alice", timeout=1e6)
+                            for q in mine[1:]
+                        ),
+                    )
+                return answers, event_loop.time() - started
+
+        answers, elapsed = event_loop.run_until_complete(run())
+        assert [a.batch_size for a in answers] == [4] * (4 * rounds)
+        # Five 3 s windows, none sat out: the whole run fits inside one.
+        assert elapsed < 3.0
+        self._assert_replays(session, gateway, answers)
+        session.close()
+
+    def test_lone_caller_joined_by_a_burst_is_batched_again(self, event_loop):
+        session = make_session()
+        workload = make_workload()
+        alone = workload.batch(200)
+        more = workload.batch(64)
+        burst = workload.batch(8 * 8)
+        gateway = self._gateway(session)
+
+        async def caller(mine):
+            return [
+                await gateway.submit(q, tenant="alice", timeout=30.0)
+                for q in mine
+            ]
+
+        async def run():
+            answers = []
+            async with gateway:
+                answers += await caller(alone)
+                assert gateway.counters.coalesced_total == 0
+                assert gateway.batcher.window() == 0.0  # gate shut
+                joiners = [
+                    asyncio.ensure_future(caller(burst[i::8])) for i in range(8)
+                ]
+                until_batched = 0
+                while gateway.counters.coalesced_total == 0:
+                    assert until_batched < len(more), "burst never discovered"
+                    answers.append(
+                        await gateway.submit(
+                            more[until_batched], tenant="alice", timeout=30.0
+                        )
+                    )
+                    until_batched += 1
+                for chunk in await asyncio.gather(*joiners):
+                    answers += chunk
+            return answers, until_batched
+
+        answers, until_batched = event_loop.run_until_complete(run())
+        assert until_batched <= 64
+        stats = gateway.stats()
+        assert stats["served_total"] == len(answers)
+        assert stats["coalesced_total"] >= 32
+        self._assert_replays(session, gateway, answers)
         session.close()

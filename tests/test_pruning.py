@@ -340,6 +340,94 @@ class TestCoordinatorFetchPruning:
         assert pruned == 0
 
 
+class TestNaNNeverProvesAZone:
+    """A NaN row makes ``min()``/``max()`` NaN; no zone claim may pass on it."""
+
+    N_ROWS = 4000
+
+    def _store(self, layout, nan_in):
+        rng = np.random.default_rng(3)
+        columns = {
+            "a": rng.uniform(0.0, 10.0, self.N_ROWS),
+            "v": rng.uniform(0.0, 1.0, self.N_ROWS),
+        }
+        columns[nan_in][1234] = np.nan
+        store = DistributedStore(
+            ClusterTopology.single_datacenter(4), layout=layout
+        )
+        store.put_table(Table(columns, name="data"), partitions_per_node=2)
+        return store
+
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    @pytest.mark.parametrize("aggregate", [Count(), Sum("v")], ids=repr)
+    @pytest.mark.parametrize("nan_in", ["a", "v"])
+    def test_execute_equals_ground_truth(self, layout, aggregate, nan_in):
+        store = self._store(layout, nan_in)
+        # The box contains every finite value of ``a``: each partition
+        # looks covered to a test that only tries to refute it.
+        query = AnalyticsQuery(
+            "data", RangeSelection(("a",), [-1.0], [11.0]), aggregate
+        )
+        engine = ExactEngine(store)
+        truth = engine.ground_truth(query)
+        answer, _ = engine.execute(query)
+        unpruned, _ = ExactEngine(store, pruning=False).execute(query)
+        assert np.array_equal(answer, truth, equal_nan=True)
+        assert np.array_equal(unpruned, truth, equal_nan=True)
+        if nan_in == "a" and isinstance(aggregate, Count):
+            assert answer == self.N_ROWS - 1  # no range selects the NaN row
+        if nan_in == "v" and isinstance(aggregate, Sum):
+            assert np.isnan(answer)  # ...but SUM over it is NaN, as scanned
+
+    def test_nan_zone_is_neither_covered_nor_disjoint(self):
+        col = np.array([1.0, np.nan, 3.0])
+        synopsis = PartitionSynopsis(3, {"a": ColumnStats.from_column(col)})
+        assert not synopsis.covered_by(("a",), [0.0], [5.0])
+        assert not synopsis.disjoint(("a",), [10.0], [20.0])
+        # NaN query bounds select nothing and prove nothing either.
+        clean = PartitionSynopsis(
+            2, {"a": ColumnStats.from_column(np.array([1.0, 3.0]))}
+        )
+        assert not clean.covered_by(("a",), [np.nan], [5.0])
+        assert not clean.disjoint(("a",), [np.nan], [np.nan])
+
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_append_keeps_the_nan_in_the_zone(self, nan_first):
+        clean = Table({"a": np.array([1.0, 2.0])}, name="data")
+        dirty = Table({"a": np.array([np.nan])}, name="data")
+        base, piece = (dirty, clean) if nan_first else (clean, dirty)
+        grown = Table.concat([base, piece], name="data")
+        synopsis = PartitionSynopsis.from_table(base).appended(piece, grown)
+        assert np.isnan(synopsis.stats("a").minimum)
+        assert np.isnan(synopsis.stats("a").maximum)
+        assert synopses_consistent([synopsis], [grown])
+        assert not synopsis.covered_by(("a",), [0.0], [5.0])
+
+    def test_encoded_mask_skips_only_proven_conjuncts(self):
+        from repro.cluster import ColumnarPartition
+        from repro.engine.colscan import encoded_mask
+
+        rng = np.random.default_rng(9)
+        n = 600
+        for holed in (False, True):
+            ts = np.repeat(np.arange(n // 100, dtype=float), 100)  # RLE
+            cat = rng.integers(0, 7, n).astype(float)  # dictionary
+            x0 = rng.uniform(0.0, 10.0, n)  # raw
+            if holed:
+                ts[250] = cat[7] = x0[599] = np.nan
+            table = Table({"ts": ts, "cat": cat, "x0": x0}, name="data")
+            part = ColumnarPartition.from_table(table)
+            for lows, highs in (
+                ([-1.0, -1.0, -1.0], [99.0, 99.0, 99.0]),  # all cover
+                ([-1.0, 2.0, -1.0], [99.0, 4.0, 99.0]),  # one residual
+                ([1.0, -1.0, 3.0], [4.0, 99.0, 3.5]),  # first one covers
+            ):
+                selection = RangeSelection(("ts", "cat", "x0"), lows, highs)
+                mask = encoded_mask(part, selection)
+                assert mask.dtype == bool
+                assert np.array_equal(mask, selection.mask(table))
+
+
 class TestMutationKeepsSynopsesExact:
     def _piece(self, rng, n_rows):
         return Table(
