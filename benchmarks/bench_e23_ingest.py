@@ -24,6 +24,12 @@ sweep of epoch lengths and measures what that contract costs:
   reads); shorter epochs invert the trade.
 * **WAL economics:** bytes synced, bytes reclaimed by pruning, and the
   high-water durable log size per epoch length.
+* **Read after append (gated):** after every small append the same
+  exact read runs twice.  The first one folds the new rows into each
+  partition's base+delta view, the second finds the view ready;
+  ``dirty_first_read_ratio`` (median first / median second) is ~1 when
+  that fold costs what was appended and grows with the partition when
+  it re-copies it.  Gated at ``<= 1.5``.
 
 The cumulative ``BENCH_ingest.json`` trajectory stores medians + IQRs
 per epoch length plus the scale knobs and ``host_cpus``.  Scale via
@@ -63,6 +69,9 @@ EPOCH_SWEEP = tuple(
 HOST_CPUS = os.cpu_count() or 1
 SEED = 23  # pinned: the trajectory compares identical workloads
 COLUMNS = ("x0", "x1")
+# Read-after-append leg: each epoch's batch lands as this many appends.
+APPENDS_PER_EPOCH = 8
+DIRTY_FIRST_READ_GATE = 1.5
 
 
 def base_table() -> Table:
@@ -175,6 +184,38 @@ def images_equal(a: Table, b: Table) -> bool:
     )
 
 
+def run_read_after_append():
+    """Time the first and the second identical exact read after each append."""
+    store = DistributedStore(ClusterTopology.single_datacenter(N_NODES))
+    store.put_table(base_table(), partitions_per_node=PARTS_PER_NODE)
+    pipeline = store.enable_ingest(IngestConfig(epoch_seconds=1.0))
+    engine = ExactEngine(store)
+    query = read_queries()[0]
+    first, second = [], []
+    gc.collect()
+    gc.disable()
+    try:
+        for batch in write_batches():
+            for piece in batch.split(APPENDS_PER_EPOCH):
+                pipeline.append("data", piece)
+                (fresh, _), first_sec = wallclock(lambda: engine.execute(query))
+                (again, _), second_sec = wallclock(lambda: engine.execute(query))
+                assert repr(fresh) == repr(again)
+                first.append(first_sec)
+                second.append(second_sec)
+            pipeline.flush()
+    finally:
+        gc.enable()
+    first_ms = 1e3 * trial_stats(first)["median"]
+    second_ms = 1e3 * trial_stats(second)["median"]
+    return {
+        "dirty_first_read_ms": first_ms,
+        "dirty_second_read_ms": second_ms,
+        "dirty_first_read_ratio": first_ms / second_ms,
+        "dirty_read_samples": len(first),
+    }
+
+
 def run_epoch_sweep():
     reference = reference_image()
     reference_answers = None
@@ -230,6 +271,7 @@ def run_epoch_sweep():
 
 def test_e23_ingest(benchmark):
     sweep = benchmark.pedantic(run_epoch_sweep, rounds=1, iterations=1)
+    dirty_reads = run_read_after_append()
     headers = [
         "epoch_seconds",
         "wall_sec_median",
@@ -258,6 +300,7 @@ def test_e23_ingest(benchmark):
             "epochs": N_EPOCHS,
             "batch_rows": BATCH_ROWS,
             "reads_per_epoch": READS_PER_EPOCH,
+            **dirty_reads,
         },
     )
     record_ingest_benchmark(
@@ -271,6 +314,14 @@ def test_e23_ingest(benchmark):
         byte_identical=True,  # asserted per trial in run_epoch_sweep
         staleness_bounded=True,  # asserted per trial in run_epoch_sweep
         sweep=sweep,
+        **dirty_reads,
+    )
+    assert dirty_reads["dirty_first_read_ratio"] <= DIRTY_FIRST_READ_GATE, (
+        f"the first exact read after an append took "
+        f"{dirty_reads['dirty_first_read_ratio']:.2f}x the second "
+        f"({dirty_reads['dirty_first_read_ms']:.3f} ms vs "
+        f"{dirty_reads['dirty_second_read_ms']:.3f} ms): the base+delta "
+        f"view is being re-copied, not extended"
     )
     best = max(sweep, key=lambda s: s["write_rows_per_sec"])
     benchmark.extra_info["host_cpus"] = HOST_CPUS
@@ -278,3 +329,6 @@ def test_e23_ingest(benchmark):
     benchmark.extra_info["staleness_max"] = max(
         s["staleness_max"] for s in sweep
     )
+    benchmark.extra_info["dirty_first_read_ratio"] = dirty_reads[
+        "dirty_first_read_ratio"
+    ]

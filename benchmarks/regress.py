@@ -276,6 +276,9 @@ def _ingest_headlines(entry: Dict[str, Any]) -> List[Headline]:
                 float(iqr) if isinstance(iqr, (int, float)) else 0.0,
             )
         )
+    ratio = entry.get("dirty_first_read_ratio")
+    if isinstance(ratio, (int, float)):
+        out.append(("dirty_first_read_ratio", float(ratio), "lower", 0.0))
     return out
 
 

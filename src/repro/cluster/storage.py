@@ -64,8 +64,9 @@ class TablePartition:
     #: Pending writes while durable ingest is enabled (a
     #: :class:`~repro.ingest.delta.DeltaPartition`); None otherwise.
     delta: Optional[object] = field(default=None, repr=False, compare=False)
-    #: Cache of the materialized base+delta view, keyed by delta version.
-    _view: Optional[Tuple[int, Table]] = field(
+    #: The materialized base+delta view: ``(delta.shape_version, memtable
+    #: rows folded in, view)``.
+    _view: Optional[Tuple[int, int, Table]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -80,21 +81,31 @@ class TablePartition:
         Element-identical to having applied the staged writes
         synchronously, so every aggregate over the view is bitwise equal
         to the post-compaction answer.  Clean partitions return ``data``
-        itself (zero cost); dirty views are cached per delta version.
+        itself (zero cost).  A dirty view is *extended*, not rebuilt:
+        while no row has left since it was built
+        (``delta.shape_version`` stands still) it only lacks the
+        memtable rows appended since, and :meth:`Table.appended` adds
+        those in place — the first read after an append costs what was
+        appended, not the partition.  Views handed out earlier keep
+        their rows (see ``appended``'s tail rule).
         """
         delta = self.delta
         if delta is None or not delta.dirty:
             return self.data
-        if self._view is not None and self._view[0] == delta.version:
-            return self._view[1]
-        base = self.data
-        if delta.n_deleted:
-            base = base.select(~delta.deleted_base)
-        if delta.rows is not None:
-            view = Table.concat([base, delta.rows], name=self.data.name)
+        n_rows = delta.n_rows
+        cached = self._view
+        if cached is not None and cached[0] == delta.shape_version:
+            _, seen, view = cached
+            if seen == n_rows:
+                return view
         else:
-            view = base
-        self._view = (delta.version, view)
+            view = self.data
+            if delta.n_deleted:
+                view = view.select(~delta.deleted_base)
+            seen = 0
+        if seen < n_rows:
+            view = view.appended(delta.rows.slice_rows(seen, n_rows))
+        self._view = (delta.shape_version, n_rows, view)
         return view
 
     @property
@@ -659,7 +670,7 @@ class DistributedStore:
         for index, (partition, piece) in enumerate(zip(stored.partitions, pieces)):
             if piece.n_rows == 0:
                 continue
-            grown = Table.concat([partition.data, piece], name=name)
+            grown = partition.data.appended(piece)
             synopses[index] = synopses[index].appended(piece, grown)
             self._replace_partition_data(partition, grown)
             self._record_encodings(synopses[index], partition)

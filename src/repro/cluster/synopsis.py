@@ -83,14 +83,20 @@ class ColumnStats:
     def from_column(cls, col: np.ndarray) -> "ColumnStats":
         if col.shape[0] == 0:
             return cls(float("inf"), float("-inf"), 0.0, 0.0, 0.0)
-        colf = col.astype(float)
-        return cls(
-            minimum=float(col.min()),
-            maximum=float(col.max()),
-            total=float(col.sum()),
-            ftotal=float(colf.sum()),
-            fsumsq=float((colf**2).sum()),
-        )
+        return cls(float(col.min()), float(col.max()), *_sums(col))
+
+
+def _sums(col: np.ndarray) -> Tuple[float, float, float]:
+    """``(total, ftotal, fsumsq)`` of a column, scan-identical.
+
+    A float64 column *is* its float cast, so the cast (a full copy) and
+    the second sum are skipped: ``ftotal`` is bitwise ``total``.
+    """
+    total = float(col.sum())
+    if col.dtype == np.float64:
+        return total, total, float((col**2).sum())
+    colf = col.astype(float)
+    return total, float(colf.sum()), float((colf**2).sum())
 
 
 class PartitionSynopsis:
@@ -185,13 +191,10 @@ class PartitionSynopsis:
             if piece_col.shape[0] == 0:
                 columns[name] = old
                 continue
-            colf = col.astype(float)
             columns[name] = ColumnStats(
-                minimum=float(np.minimum(old.minimum, piece_col.min())),
-                maximum=float(np.maximum(old.maximum, piece_col.max())),
-                total=float(col.sum()),
-                ftotal=float(colf.sum()),
-                fsumsq=float((colf**2).sum()),
+                float(np.minimum(old.minimum, piece_col.min())),
+                float(np.maximum(old.maximum, piece_col.max())),
+                *_sums(col),
             )
         return PartitionSynopsis(n_rows=grown.n_rows, columns=columns)
 

@@ -18,6 +18,27 @@ from repro.common.validation import require
 
 _BYTES_PER_VALUE = 8  # float64 / int64 storage
 
+# Spare rows an append buffer is allocated with, as a share of the rows
+# it holds: each reallocation buys 1/_APPEND_SLACK_DIVISOR more appended
+# rows, so n appended rows cost O(n) copying in total.
+_APPEND_SLACK_DIVISOR = 4
+
+
+class _AppendBuffer:
+    """Capacity-padded column arrays shared by a chain of appended tables.
+
+    ``used`` is the length of the longest table handed out over these
+    arrays — the *tail*.  Rows below ``used`` are never rewritten; rows
+    at or above it belong to nobody yet.
+    """
+
+    __slots__ = ("arrays", "capacity", "used")
+
+    def __init__(self, arrays: Dict[str, np.ndarray], capacity: int, used: int):
+        self.arrays = arrays
+        self.capacity = capacity
+        self.used = used
+
 
 class Table:
     """A named collection of equally long numpy columns.
@@ -61,6 +82,7 @@ class Table:
         # sizes are fixed; the cost model queries them on every charge.
         self._n_rows = lengths.pop()
         self._n_columns = len(arrays)
+        self._buffer: Optional[_AppendBuffer] = None
 
     @classmethod
     def from_arrays(
@@ -87,6 +109,7 @@ class Table:
         self._columns = columns
         self._n_rows = n_rows
         self._n_columns = len(columns)
+        self._buffer = None
         return self
 
     # Basic properties ----------------------------------------------------
@@ -185,7 +208,9 @@ class Table:
 
     def slice_rows(self, start: int, stop: int) -> "Table":
         """Rows in [start, stop), as a new table."""
-        return Table(
+        # Slices of validated columns need no re-validation, and each
+        # ``arr[start:stop]`` is a fresh view from_arrays may mark.
+        return Table.from_arrays(
             {key: arr[start:stop] for key, arr in self._columns.items()},
             name=self.name,
             value_bytes=self.value_bytes,
@@ -218,6 +243,51 @@ class Table:
             name=name if name is not None else parts[0].name,
             value_bytes=parts[0].value_bytes,
         )
+
+    def appended(self, piece: "Table") -> "Table":
+        """``concat([self, piece])``, element for element, in amortised
+        O(len(piece)).
+
+        The result sits in a capacity-padded buffer.  When ``self`` is
+        that buffer's *tail* (the longest table handed out over it) and
+        the spare capacity holds ``piece``, the new rows are written
+        past ``self`` in place and the result shares every earlier row
+        with it; otherwise both are copied into a fresh buffer (the
+        Go-slice rule).  A table that is not the tail is never written
+        past, and rows already handed out are never rewritten, so
+        columns stay immutable for every holder: two appends from one
+        parent do not see each other's rows.
+
+        Assumes one appending thread per buffer (readers of tables
+        handed out earlier need no coordination).  Pieces whose dtypes
+        differ from this table's fall back to :meth:`concat`, which
+        promotes.
+        """
+        columns = self._columns
+        if piece.column_names != self.column_names or any(
+            piece._columns[c].dtype != arr.dtype for c, arr in columns.items()
+        ):
+            return Table.concat([self, piece])
+        n_rows = self._n_rows
+        total = n_rows + piece._n_rows
+        buffer = self._buffer
+        if buffer is None or buffer.used != n_rows or buffer.capacity < total:
+            capacity = total + total // _APPEND_SLACK_DIVISOR
+            arrays = {}
+            for c, arr in columns.items():
+                arrays[c] = grown = np.empty(capacity, dtype=arr.dtype)
+                grown[:n_rows] = arr
+            buffer = _AppendBuffer(arrays, capacity, n_rows)
+        for c, arr in buffer.arrays.items():
+            arr[n_rows:total] = piece._columns[c]
+        buffer.used = total
+        out = Table.from_arrays(
+            {c: arr[:total] for c, arr in buffer.arrays.items()},
+            name=self.name,
+            value_bytes=self.value_bytes,
+        )
+        out._buffer = buffer
+        return out
 
     # I/O -----------------------------------------------------------------
     def to_csv(self, path: str, float_format: str = "%.10g") -> None:

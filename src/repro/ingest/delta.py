@@ -5,14 +5,15 @@ A :class:`DeltaPartition` hangs off one
 enabled and accumulates the writes staged since that partition's last
 compaction:
 
-* ``rows`` — appended rows, concatenated in arrival order (the
-  memtable).  Kept as a plain row-major :class:`Table`: deltas are
-  small and short-lived, so encoding them would cost more than it
-  saves.
+* ``rows`` — appended rows in arrival order (the memtable), grown in
+  place with :meth:`Table.appended`: an append costs the rows it adds.
+  Kept as a plain row-major :class:`Table`: deltas are small and
+  short-lived, so encoding them would cost more than it saves.
 * ``deleted_base`` — a boolean tombstone mask over the *base* image's
-  rows.  Deletes against rows still in the delta are applied eagerly
-  (the memtable is mutable-by-replacement); deletes against the base
-  are deferred to compaction.
+  rows (``n_deleted`` counts its set bits).  Deletes against rows still
+  in the delta are applied eagerly (the memtable is
+  mutable-by-replacement); deletes against the base are deferred to
+  compaction.
 
 The effective content of a partition is
 ``base[~deleted_base] ++ rows`` — element-identical to applying the
@@ -20,8 +21,12 @@ same writes synchronously, which is what makes compaction invisible to
 query answers (numpy aggregates over element-equal arrays are bitwise
 equal).
 
-``version`` bumps on every mutation and keys the caches above this
-layer (the partition's materialized view, the delta synopsis).
+``version`` bumps on every mutation and keys the delta synopsis.
+``shape_version`` moves only when rows *leave* (a delete that hit, or
+``clear()``): while it stands still the effective content only grows
+at its tail, so the partition extends its materialized view by
+``rows[seen:]`` instead of rebuilding it (see
+:meth:`~repro.cluster.storage.TablePartition.read_view`).
 ``last_lsn`` records the newest WAL record folded in, which becomes the
 partition's ``applied_lsn`` checkpoint at compaction — the cursor that
 makes WAL replay idempotent.
@@ -44,7 +49,9 @@ class DeltaPartition:
         "base_rows",
         "rows",
         "deleted_base",
+        "n_deleted",
         "version",
+        "shape_version",
         "first_lsn",
         "last_lsn",
         "_synopsis",
@@ -56,7 +63,10 @@ class DeltaPartition:
         self.base_rows = base_rows
         self.rows: Optional[Table] = None
         self.deleted_base: Optional[np.ndarray] = None
+        #: Base rows tombstoned for deletion at the next compaction.
+        self.n_deleted = 0
         self.version = 0
+        self.shape_version = 0
         self.first_lsn = 0
         self.last_lsn = 0
         self._synopsis = None
@@ -74,13 +84,6 @@ class DeltaPartition:
         return self.rows.n_rows if self.rows is not None else 0
 
     @property
-    def n_deleted(self) -> int:
-        """Base rows tombstoned for deletion at the next compaction."""
-        if self.deleted_base is None:
-            return 0
-        return int(np.count_nonzero(self.deleted_base))
-
-    @property
     def n_bytes(self) -> int:
         """Memtable footprint (tombstones are free: one bit of intent)."""
         return self.rows.n_bytes if self.rows is not None else 0
@@ -94,10 +97,7 @@ class DeltaPartition:
         """Fold ``piece`` onto the memtable tail."""
         if piece.n_rows == 0:
             return
-        if self.rows is None:
-            self.rows = piece
-        else:
-            self.rows = Table.concat([self.rows, piece], name=piece.name)
+        self.rows = piece if self.rows is None else self.rows.appended(piece)
         self._stamp(lsn)
 
     def delete(self, effective_mask: np.ndarray, lsn: int) -> int:
@@ -118,15 +118,18 @@ class DeltaPartition:
             return 0
         base_part = mask[: self.live_base_rows]
         delta_part = mask[self.live_base_rows :]
-        if base_part.any():
+        base_deleted = int(np.count_nonzero(base_part))
+        if base_deleted:
             if self.deleted_base is None:
                 self.deleted_base = np.zeros(self.base_rows, dtype=bool)
             live_positions = np.flatnonzero(~self.deleted_base)
             self.deleted_base[live_positions[base_part]] = True
-        if self.rows is not None and delta_part.any():
+            self.n_deleted += base_deleted
+        if deleted > base_deleted:
             self.rows = self.rows.select(~delta_part)
             if self.rows.n_rows == 0:
                 self.rows = None
+        self.shape_version += 1
         self._stamp(lsn)
         return deleted
 
@@ -134,9 +137,11 @@ class DeltaPartition:
         """Reset after compaction folded this delta into a new base."""
         self.rows = None
         self.deleted_base = None
+        self.n_deleted = 0
         self.first_lsn = 0
         self.last_lsn = 0
         self.version += 1
+        self.shape_version += 1
         self._synopsis = None
         self._synopsis_version = -1
 

@@ -1,7 +1,13 @@
 """Durable streaming ingestion: WAL, deltas, compaction, recovery (DESIGN §13)."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.cluster import ClusterTopology, DistributedStore
 from repro.cluster.columnar import columnar_consistent
@@ -548,6 +554,223 @@ class TestRecovery:
         assert pipeline.pending_delta_rows == 10
         pipeline.flush()  # remaining armed faults fit the retry budget
         assert pipeline.pending_delta_rows == 0
+
+
+# ---------------------------------------------------------------------------
+# View maintenance: reads after an append extend the view in place
+# ---------------------------------------------------------------------------
+def bits(table: Table):
+    """Column name -> raw bytes (tells NaN payloads and -0.0 apart)."""
+    return {c: table.column(c).tobytes() for c in table.column_names}
+
+
+def union_from_scratch(partition) -> Table:
+    """The reference ``base[~deleted] ++ rows``, rebuilt with ``concat``."""
+    delta = partition.delta
+    base = partition.data
+    if delta is None:
+        return base
+    if delta.deleted_base is not None:
+        base = base.select(~delta.deleted_base)
+    if delta.rows is None:
+        return base
+    return Table.concat([base, delta.rows])
+
+
+class ViewMaintenanceMachine(RuleBasedStateMachine):
+    """One ingest store under appends, deletes, epoch closes and crashes.
+
+    After every step each partition's ``read_view()`` must equal the
+    from-scratch union, and every view or checkpoint handed out earlier
+    (each step's views are all kept, as a reader might) must still hold
+    the values it held then — in-place growth may never reach rows
+    somebody already has.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.store, self.pipeline = ingest_store(
+            n_nodes=2, table=make_table(90)
+        )
+        self.partitions = self.store.table("data").partitions
+        self.held = {}  # id(table) -> (table, its bytes when handed out)
+        self.seed = 0
+
+    def hold(self, table):
+        self.held.setdefault(id(table), (table, bits(table)))
+
+    @rule(n=st.integers(1, 40))
+    def append(self, n):
+        self.seed += 1
+        self.store.append_rows("data", make_batch(n, self.seed))
+
+    @rule(where=st.sampled_from(["base", "memtable", "both"]), k=st.integers(1, 4))
+    def delete(self, where, k):
+        def predicate(view):
+            # read_view() hands the pipeline its cached object, so the
+            # partition (and where its base rows end) can be looked up.
+            partition = next(
+                p for p in self.partitions if p.read_view() is view
+            )
+            live_base = partition.delta.live_base_rows
+            mask = np.zeros(view.n_rows, dtype=bool)
+            if where != "memtable":
+                mask[: min(k, live_base)] = True
+            if where != "base":
+                mask[live_base : live_base + k] = True
+            return mask
+
+        self.store.delete_rows("data", predicate)
+
+    @rule()
+    def close_epoch(self):
+        self.pipeline.flush()
+
+    @rule()
+    def crash_and_recover(self):
+        self.pipeline.crash()
+        self.store.recover()
+
+    @invariant()
+    def views_equal_the_from_scratch_union(self):
+        for partition in self.partitions:
+            want = union_from_scratch(partition)
+            view = partition.read_view()
+            assert bits(view) == bits(want)
+            assert partition.read_view() is view
+            delta = partition.delta
+            tombstones = (
+                0
+                if delta.deleted_base is None
+                else int(np.count_nonzero(delta.deleted_base))
+            )
+            assert delta.n_deleted == tombstones
+            assert delta.dirty == (delta.n_rows > 0 or tombstones > 0)
+            self.hold(view)
+
+    @invariant()
+    def handed_out_tables_never_change(self):
+        for checkpoint in self.pipeline._checkpoints.values():
+            self.hold(checkpoint.data)
+        for table, was in self.held.values():
+            assert bits(table) == was
+
+
+ViewMaintenanceMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+TestViewMaintenanceMachine = ViewMaintenanceMachine.TestCase
+
+
+class TestViewMaintenance:
+    N_ROWS = 40_000
+
+    def _one_partition_store(self):
+        store, pipeline = ingest_store(n_nodes=1, table=make_table(self.N_ROWS))
+        store_table = store.table("data")
+        # partitions_per_node=2 on one node: two partitions of N_ROWS / 2.
+        return store, pipeline, store_table.partitions[0]
+
+    def _append_and_read(self, store, partition, seed, n=8):
+        """Peak bytes allocated by one append plus the first read after it."""
+        tracemalloc.start()
+        try:
+            store.append_rows("data", make_batch(n, seed))
+            view = partition.read_view()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return view, peak
+
+    def test_first_read_after_append_costs_the_append(self):
+        store, pipeline, partition = self._one_partition_store()
+        column_bytes = partition.data.n_rows * 8
+        # The loaded base has no spare capacity: the first dirty read
+        # copies it, once, into a padded buffer.
+        first, peak = self._append_and_read(store, partition, 1)
+        assert peak > column_bytes
+        assert not np.shares_memory(first.column("x0"), partition.data.column("x0"))
+        for seed in range(2, 12):
+            view, peak = self._append_and_read(store, partition, seed)
+            assert np.shares_memory(view.column("x0"), first.column("x0"))
+            assert peak < column_bytes / 4  # no partition-length array
+            assert view.n_rows == first.n_rows + (seed - 1) * 4
+            assert bits(view) == bits(union_from_scratch(partition))
+            assert partition.read_view() is view
+
+    def test_compaction_adopts_the_view_and_the_next_epoch_appends_into_it(self):
+        store, pipeline, partition = self._one_partition_store()
+        store.append_rows("data", make_batch(8, 1))
+        first = partition.read_view()
+        pipeline.flush()
+        assert partition.data is first and not partition.dirty
+        checkpoint = pipeline._checkpoints[("data", partition.index)].data
+        was = bits(checkpoint)
+        view, peak = self._append_and_read(store, partition, 2)
+        assert np.shares_memory(view.column("x0"), partition.data.column("x0"))
+        assert peak < partition.data.n_rows * 8 / 4
+        assert bits(checkpoint) == was and checkpoint.n_rows == first.n_rows
+
+    def test_a_delete_rebuilds_the_view(self):
+        store, pipeline, partition = self._one_partition_store()
+        store.append_rows("data", make_batch(8, 1))
+        store.append_rows("data", make_batch(8, 2))
+        before = partition.read_view()
+        was = bits(before)
+        low = float(partition.data.column("x0")[:50].min())
+        store.delete_rows("data", lambda t: t.column("x0") == low)
+        after = partition.read_view()
+        assert after.n_rows < before.n_rows
+        assert not np.shares_memory(after.column("x0"), before.column("x0"))
+        assert bits(after) == bits(union_from_scratch(partition))
+        assert bits(before) == was
+        # ...and the rebuilt view is extended in place again.
+        store.append_rows("data", make_batch(8, 3))
+        assert np.shares_memory(
+            partition.read_view().column("x0"), after.column("x0")
+        )
+
+    def test_recovered_base_is_never_written_past(self):
+        store, pipeline, partition = self._one_partition_store()
+        store.append_rows("data", make_batch(8, 1))
+        partition.read_view()
+        pipeline.flush()  # base + checkpoint now sit in a padded buffer
+        store.append_rows("data", make_batch(8, 2))
+        lost = partition.read_view()  # written past the checkpointed base
+        was = bits(lost)
+        pipeline.crash()
+        store.recover()
+        store.append_rows("data", make_batch(8, 3))
+        view = partition.read_view()
+        assert bits(lost) == was
+        assert not np.shares_memory(view.column("x0"), lost.column("x0"))
+        assert bits(view) == bits(union_from_scratch(partition))
+
+    def test_reader_of_a_held_view_never_sees_its_sum_change(self):
+        store, pipeline, partition = self._one_partition_store()
+        store.append_rows("data", make_batch(8, 0))
+        held = partition.read_view()
+        columns = [held.column(c) for c in held.column_names]
+        want = [float(col.sum()) for col in columns]
+        stop = threading.Event()
+        seen = []
+
+        def reader():
+            while not stop.is_set():
+                seen.append([float(col.sum()) for col in columns] == want)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for seed in range(1, 1001):
+                store.append_rows("data", make_batch(2, seed))
+                partition.read_view()
+        finally:
+            stop.set()
+            thread.join()
+        assert seen and all(seen)
+        assert [float(col.sum()) for col in columns] == want
+        assert partition.read_view().n_rows == held.n_rows + 1000
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ The pruning layer's contract has three legs, each pinned here:
    byte accounting stays consistent with the partitions actually stored.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,46 @@ class TestSynopsisStats:
         assert stats.total == float(col.sum())
         assert stats.ftotal == float(col.astype(float).sum())
         assert stats.fsumsq == float((col.astype(float) ** 2).sum())
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            np.random.default_rng(1).normal(size=4099) * 1e9,
+            np.array([1.5, np.nan, -2.0, 7.25] * 300),
+            np.array([np.inf, 1.0, 3.0]),
+            np.array([2.0, -np.inf, -1.0]),
+            np.array([-0.0]),
+            np.array([-0.0, 0.0, -0.0]),
+            # Sums past 2**53: the int and the float-cast totals differ.
+            np.random.default_rng(2).integers(2**60, 2**61, size=999),
+            np.arange(-5, 6, dtype=np.int64),
+            np.random.default_rng(3).normal(size=300).astype(np.float32),
+            np.empty(0),
+            np.empty(0, dtype=np.int64),
+        ],
+        ids=[
+            "float64", "nan", "+inf", "-inf", "negzero", "zeros", "int64-wide",
+            "int64", "float32", "empty", "empty-int",
+        ],
+    )
+    def test_stats_bitwise_equal_the_cast_and_sum_twice_expression(self, col):
+        """float64 columns skip the float cast and the second sum; all
+        five stats still carry the bits of the long-hand expression."""
+        if col.shape[0]:
+            colf = col.astype(float)
+            want = (
+                float(col.min()), float(col.max()), float(col.sum()),
+                float(colf.sum()), float((colf**2).sum()),
+            )
+        else:
+            want = (float("inf"), float("-inf"), 0.0, 0.0, 0.0)
+        got = astuple(ColumnStats.from_column(col))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        grown = Table({"c": np.concatenate([col, col])})
+        maintained = PartitionSynopsis.from_table(Table({"c": col})).appended(
+            Table({"c": col}), grown
+        )
+        assert synopses_consistent([maintained], [grown])
 
     def test_empty_column_is_neutral(self):
         stats = ColumnStats.from_column(np.empty(0))

@@ -78,6 +78,33 @@ def _write_gateway(root, goodput_values, ratios=None):
     return path
 
 
+def _write_ingest(root, ratios):
+    entries = [
+        {
+            "experiment": "e23_ingest",
+            "n_rows": 20000,
+            "partitions": 16,
+            "epochs": 4,
+            "batch_rows": 300,
+            "reads_per_epoch": 3,
+            "host_cpus": 1,
+            "sweep": [
+                {
+                    "epoch_seconds": 0.5,
+                    "write_rows_per_sec": 100000.0,
+                    "write_rows_per_sec_iqr": 0.0,
+                }
+            ],
+            "dirty_first_read_ratio": ratio,
+        }
+        for ratio in ratios
+    ]
+    path = os.path.join(root, "BENCH_ingest.json")
+    with open(path, "w") as handle:
+        json.dump({"entries": entries}, handle)
+    return path
+
+
 class TestRegressionSentinel:
     def test_flags_synthetic_20pct_slowdown(self, tmp_path, capsys):
         _write_serving(str(tmp_path), [1000.0, 1000.0, 800.0])
@@ -133,6 +160,20 @@ class TestRegressionSentinel:
             [2800.0, 2800.0, 2900.0],
             ratios=[0.97, 0.99, 1.00],
         )
+        assert regress.main(["--root", str(tmp_path)]) == 0
+
+    def test_ingest_dirty_first_read_ratio_is_lower_is_better(
+        self, tmp_path, capsys
+    ):
+        # The first read after an append creeping away from the second
+        # flags even while write throughput holds; entries recorded
+        # before the leg existed carry no ratio and form no history.
+        _write_ingest(str(tmp_path), [1.02, 1.05, 2.6])
+        assert regress.main(["--root", str(tmp_path)]) == 1
+        assert "dirty_first_read_ratio" in capsys.readouterr().err
+        _write_ingest(str(tmp_path), [2.7, 2.6, 1.03])
+        assert regress.main(["--root", str(tmp_path)]) == 0
+        _write_ingest(str(tmp_path), [None, None, 1.03])
         assert regress.main(["--root", str(tmp_path)]) == 0
 
     def test_groups_never_mix_scales(self, tmp_path):

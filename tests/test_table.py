@@ -114,6 +114,120 @@ class TestOperations:
         assert np.array_equal(merged["b"], t["b"])
 
 
+def bits(table):
+    """Column name -> raw bytes: equality that tells NaN payloads apart."""
+    return {c: table[c].tobytes() for c in table.column_names}
+
+
+def payload_table(n, seed):
+    """Floats incl. NaNs with distinct payloads, -0.0 and infinities; ints."""
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    raw[::3] = np.uint64(0x7FF8000000000000) | rng.integers(
+        1, 2**40, size=raw[::3].shape[0], dtype=np.uint64
+    )
+    return Table(
+        {"f": raw.view(np.float64), "i": rng.integers(-9, 9, size=n)}, name="p"
+    )
+
+
+class TestAppended:
+    def test_equals_concat_bitwise_along_a_chain(self):
+        grown = reference = payload_table(5, 0)
+        for seed in range(1, 40):
+            piece = payload_table(seed % 7, seed)
+            grown = grown.appended(piece)
+            reference = Table.concat([reference, piece])
+            assert bits(grown) == bits(reference)
+            assert grown.column_names == reference.column_names
+            assert (grown.name, grown.value_bytes) == ("p", 8)
+            assert grown["f"].dtype == np.float64 and grown["i"].dtype == np.int64
+
+    def test_tail_append_is_in_place_and_results_are_read_only(self):
+        first = sample_table(100).appended(sample_table(1))
+        second = first.appended(sample_table(3))
+        assert np.shares_memory(first["a"], second["a"])
+        assert second["a"][:101].tobytes() == first["a"].tobytes()
+        assert not second["a"].flags.writeable
+        with pytest.raises(ValueError):
+            second["a"][0] = 1.0
+
+    def test_two_appends_from_one_parent_do_not_see_each_other(self):
+        parent = sample_table(10).appended(sample_table(2))
+        left = parent.appended(Table({"a": [1.0], "b": [1.0]}))
+        right = parent.appended(Table({"a": [2.0, 2.0], "b": [2.0, 2.0]}))
+        again = parent.appended(Table({"a": [3.0], "b": [3.0]}))
+        assert left["a"].tolist()[12:] == [1.0]
+        assert right["a"].tolist()[12:] == [2.0, 2.0]
+        assert again["a"].tolist()[12:] == [3.0]
+        assert parent.n_rows == 12
+
+    def test_parent_unchanged_after_1000_appends_to_its_child(self):
+        parent = payload_table(64, 1)
+        before = bits(parent)
+        child = parent.appended(payload_table(1, 2))
+        held = [(child, bits(child))]
+        for seed in range(1000):
+            child = child.appended(payload_table(1 + seed % 3, seed))
+            if seed % 100 == 0:
+                held.append((child, bits(child)))
+        assert bits(parent) == before
+        assert all(bits(table) == was for table, was in held)
+        assert child.n_rows == 64 + 1 + sum(1 + s % 3 for s in range(1000))
+
+    def test_mixed_dtypes_fall_back_to_concat(self):
+        ints = Table({"x": np.arange(4)}, name="t")
+        floats = Table({"x": np.array([0.5])}, name="u")
+        out = ints.appended(ints).appended(floats)
+        want = Table.concat([ints, ints, floats])
+        assert out["x"].dtype == want["x"].dtype == np.float64
+        assert bits(out) == bits(want)
+
+    def test_schema_mismatch_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Table({"x": np.zeros(2)}).appended(Table({"y": np.zeros(2)}))
+
+    def test_amortised_cost_is_the_piece(self):
+        """1 000 one-row appends reallocate a handful of times, not 1 000."""
+        table = sample_table(1000)
+        addresses = set()
+        for _ in range(1000):
+            table = table.appended(sample_table(1))
+            addresses.add(table["a"].__array_interface__["data"][0])
+        assert len(addresses) <= 5
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 5)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_append_tree_equals_concat(self, steps):
+        """Append to *any* earlier table (tail or not): every table ever
+        handed out keeps equalling its from-scratch concat."""
+        pool = [(payload_table(3, 0),) * 2]
+        for seed, (parent, n) in enumerate(steps):
+            table, reference = pool[parent % len(pool)]
+            piece = payload_table(n, seed + 1)
+            pool.append(
+                (table.appended(piece), Table.concat([reference, piece]))
+            )
+            for got, want in pool:
+                assert bits(got) == bits(want)
+
+    def test_slices_are_trusted_read_only_views(self):
+        backing = np.arange(10.0)
+        table = Table({"a": backing})
+        piece = table.slice_rows(2, 5)
+        assert np.shares_memory(piece["a"], backing)
+        assert not piece["a"].flags.writeable
+        assert backing.flags.writeable  # the caller's own array is not marked
+        assert (piece.name, piece.value_bytes) == (table.name, table.value_bytes)
+        assert table.slice_rows(7, 99).n_rows == 3
+
+
 class TestCsvIO:
     def test_roundtrip(self, tmp_path):
         t = sample_table(25)
