@@ -108,6 +108,7 @@ class SEAAgent:
         self.updates = DataUpdateMonitor()
         self.history: List[ServedQuery] = []
         self.n_queries = 0
+        self._idle_cost: Optional[CostReport] = None  # see _agent_cost
         self.cache: Optional[AnswerCache] = (
             AnswerCache(self.config.answer_cache_size)
             if self.config.answer_cache_size > 0
@@ -747,7 +748,20 @@ class SEAAgent:
         BDAS: no scans, no shuffles, no data nodes.  One millisecond of
         client<->agent dispatch plus model inference — in line with the
         "de facto insensitive to data sizes" claim of Sec. III.B.
+
+        The bill is the same ten numbers for every model-served answer,
+        so with nobody recording it is metered once per agent and copied
+        (callers own, and may mutate, the report they get).  With an
+        observer attached every answer is metered, because the span and
+        the charge are themselves what gets recorded.
         """
+        if self.observer.enabled:
+            return self._meter_agent_cost()
+        if self._idle_cost is None:
+            self._idle_cost = self._meter_agent_cost()
+        return self._idle_cost.copy()
+
+    def _meter_agent_cost(self) -> CostReport:
         obs = self.observer
         meter = CostMeter(observer=obs if obs.enabled else None)
         with obs.span("agent_inference", meter=meter, category="agent"):

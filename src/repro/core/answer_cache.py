@@ -24,15 +24,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, Optional, Set
 
 from repro.common.validation import require
 from repro.core.predictor import Prediction
-from repro.queries.query import AnalyticsQuery
+from repro.queries.query import AnalyticsQuery, ExtentKey
 
-CacheKey = Tuple[str, str, bytes]
+CacheKey = ExtentKey
 
 
 @dataclass
@@ -54,12 +52,11 @@ class CachedAnswer:
 def cache_key(query: AnalyticsQuery) -> CacheKey:
     """Canonical key: signature + selection shape + exact extent bytes.
 
-    The selection class name disambiguates selections whose vector
-    encodings happen to share a length (a 1-D range and a 1-D radius
-    both encode as two floats).
+    Read off the query, which builds it once
+    (:meth:`AnalyticsQuery.extent_key`) however many of ``lookup``,
+    ``store`` and ``reject_stale`` one request goes through.
     """
-    vector = np.asarray(query.vector(), dtype=float)
-    return (query.signature(), type(query.selection).__name__, vector.tobytes())
+    return query.extent_key()
 
 
 class AnswerCache:

@@ -12,6 +12,15 @@ error estimate for a future query in the same quantum is a high quantile
 of that quantum's recent residuals — a split-conformal-style guarantee
 without distributional assumptions.  Residual windows are bounded, so the
 estimator also adapts when drift makes old residuals unrepresentative.
+
+The quantile of an unchanged window is an unchanged number, and serving
+reads it on every prediction while only a learning step (``record``) or
+a reset (``forget``) can move it — the same two events that bump the
+predictor's per-quantum version.  :meth:`estimate` therefore keeps the
+last quantile it computed per quantum and those two methods drop it, so
+a frozen or quiet quantum reads a float.  The memo is derived state: it
+is not pickled, and an estimator restored from a file written before it
+existed starts with it empty.
 """
 
 from __future__ import annotations
@@ -42,6 +51,16 @@ class PrequentialErrorEstimator:
         self.min_observations = min_observations
         self.relative_floor = relative_floor
         self._residuals: Dict[int, Deque[float]] = {}
+        self._estimates: Dict[int, float] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_estimates", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._estimates = {}
 
     def record(self, quantum_id: int, predicted, actual) -> float:
         """Record one prequential residual; returns the relative error."""
@@ -53,6 +72,7 @@ class PrequentialErrorEstimator:
             quantum_id, deque(maxlen=self.window)
         )
         bucket.append(rel)
+        self._estimates.pop(quantum_id, None)
         return rel
 
     def estimate(self, quantum_id: int) -> Optional[float]:
@@ -62,10 +82,14 @@ class PrequentialErrorEstimator:
         quantile to mean anything — callers must then treat the prediction
         as unreliable (the agent falls back to exact execution).
         """
-        bucket = self._residuals.get(quantum_id)
-        if bucket is None or len(bucket) < self.min_observations:
-            return None
-        return float(np.quantile(np.asarray(bucket), self.quantile))
+        estimate = self._estimates.get(quantum_id)
+        if estimate is None:
+            bucket = self._residuals.get(quantum_id)
+            if bucket is None or len(bucket) < self.min_observations:
+                return None
+            estimate = float(np.quantile(np.asarray(bucket), self.quantile))
+            self._estimates[quantum_id] = estimate
+        return estimate
 
     def n_observations(self, quantum_id: int) -> int:
         bucket = self._residuals.get(quantum_id)
@@ -88,6 +112,7 @@ class PrequentialErrorEstimator:
     def forget(self, quantum_id: int) -> None:
         """Drop a quantum's residual history (model was reset/purged)."""
         self._residuals.pop(quantum_id, None)
+        self._estimates.pop(quantum_id, None)
 
     def state_bytes(self) -> int:
         return sum(8 * len(bucket) for bucket in self._residuals.values())

@@ -31,13 +31,27 @@ from repro.obs.profile import FlightRecorder, QueryProfile
 from repro.obs.trace import Span, TraceRecorder
 
 
+class _NullArgs(dict):
+    """The span-args dict nobody will read: writes are discarded."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key: str, value: Any) -> None:
+        pass
+
+
+_NULL_ARGS = _NullArgs()
+
+
 class _NullSpan:
     """Reusable no-op context manager (one shared instance, no state)."""
 
     __slots__ = ()
 
     def __enter__(self) -> Dict[str, Any]:
-        return {}
+        # Shared, not ``{}``: a dict per null span is an allocation per
+        # span whenever the interpreter's dict free list runs dry.
+        return _NULL_ARGS
 
     def __exit__(self, *exc) -> bool:
         return False

@@ -7,7 +7,7 @@ point in "query space" that RT1.1 quantizes.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from repro.queries.aggregates import Aggregate
 from repro.queries.selections import Selection
 
 Answer = Union[float, np.ndarray]
+ExtentKey = Tuple[str, str, bytes]
 
 
 class AnalyticsQuery:
@@ -28,10 +29,11 @@ class AnalyticsQuery:
         self.selection = selection
         self.aggregate = aggregate
         # The agent asks for these on every routing / caching decision;
-        # both are pure functions of the (immutable-by-convention)
+        # all are pure functions of the (immutable-by-convention)
         # selection, so compute once.  Treat the vector as read-only.
         self._vector_cache: Optional[np.ndarray] = None
         self._signature_cache: Optional[str] = None
+        self._extent_key_cache: Optional[ExtentKey] = None
 
     @property
     def answer_dim(self) -> int:
@@ -60,6 +62,36 @@ class AnalyticsQuery:
                 f"{self.table_name}:{self.aggregate.name}:{len(self.vector())}"
             )
         return self._signature_cache
+
+    def extent_key(self) -> ExtentKey:
+        """Canonical identity: signature + selection shape + extent bytes.
+
+        What the answer cache files a predicted answer under.  The
+        selection class name disambiguates selections whose vector
+        encodings happen to share a length (a 1-D range and a 1-D radius
+        both encode as two floats).
+        """
+        if self._extent_key_cache is None:
+            vector = np.asarray(self.vector(), dtype=float)
+            self._extent_key_cache = (
+                self.signature(),
+                type(self.selection).__name__,
+                vector.tobytes(),
+            )
+        return self._extent_key_cache
+
+    def shell(self) -> "AnalyticsQuery":
+        """A distinct query object sharing every part of this one.
+
+        Requests must stay distinct objects (profiles and served records
+        are told apart by query identity) while the parsed selection,
+        aggregate and memoized vector / signature / key are shared.
+        """
+        twin = AnalyticsQuery(self.table_name, self.selection, self.aggregate)
+        twin._vector_cache = self._vector_cache
+        twin._signature_cache = self._signature_cache
+        twin._extent_key_cache = self._extent_key_cache
+        return twin
 
     def __repr__(self) -> str:
         return (

@@ -17,11 +17,24 @@ Predicates: ``BETWEEN a AND b``, ``>=``, ``<=``, ``>``, ``<``, joined by
 ``AND``.  Open-ended comparisons clamp against +-1e18 (effectively
 unbounded).  The grammar is deliberately tiny: it is an analyst-facing
 convenience, not a SQL engine.
+
+Statement templates.  Dashboards and agent clients re-send the same
+statement texts at high rates, and a parse is a pure function of the
+text, so :func:`parse_query` remembers the last ``TEMPLATE_MEMO_SIZE``
+distinct texts it parsed: table, selection, aggregate, query vector,
+signature and answer-cache key, built once and marked read-only.  Every
+call still returns a *fresh* :class:`AnalyticsQuery` around those shared
+parts, because requests are told apart by query identity (profiles,
+served records).  The key is the exact text — no case or whitespace
+normalisation — so no statement can ever be answered with another's
+bounds; a variant spelling only costs one more parse.  Statements that
+do not parse raise every time and are never remembered.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import QueryError
@@ -57,15 +70,52 @@ _BETWEEN_RE = re.compile(
     re.IGNORECASE,
 )
 
+_HALF_BETWEEN_RE = re.compile(rf"^\w+\s+BETWEEN\s+{_NUMBER}$", re.IGNORECASE)
+
+_AND_RE = re.compile(r"\s+AND\s+", re.IGNORECASE)
+
 _COMPARE_RE = re.compile(
     rf"^(?P<col>\w+)\s*(?P<op>>=|<=|>|<)\s*(?P<value>{_NUMBER})$"
 )
 
 _AGG_RE = re.compile(r"^(?P<name>\w+)\s*\(\s*(?P<args>[^)]*)\s*\)$")
 
+#: Statement texts remembered, least recently used dropped first: twice
+#: the answer cache's default 2 048 entries, so a statement whose cached
+#: answer was just invalidated or evicted still finds its template, and
+#: never more than a few MiB of parsed parts.
+TEMPLATE_MEMO_SIZE = 4096
+
 
 def parse_query(sql: str) -> AnalyticsQuery:
-    """Parse one SQL-like statement into an :class:`AnalyticsQuery`."""
+    """Parse one SQL-like statement into an :class:`AnalyticsQuery`.
+
+    A repeated text costs a memo probe and a new query shell; the
+    returned query's selection bounds and vector are read-only and may
+    be shared with other queries parsed from the same text.
+    """
+    return _template(sql).shell()
+
+
+@lru_cache(maxsize=TEMPLATE_MEMO_SIZE)
+def _template(sql: str) -> AnalyticsQuery:
+    """The shared, read-only parse of one exact text (never handed out).
+
+    ``lru_cache`` is the whole memo: bounded, safe to call from the
+    gateway loop and ``SEASession.sql`` threads at once (at worst two
+    threads both parse a text neither has seen), and an exception leaves
+    it untouched.
+    """
+    query = _parse(sql)
+    selection = query.selection
+    for shared in (selection.lows, selection.highs, query.vector()):
+        shared.setflags(write=False)
+    query.extent_key()  # fills the signature too
+    return query
+
+
+def _parse(sql: str) -> AnalyticsQuery:
+    """The uncached parse: what a text means, computed from scratch."""
     match = _QUERY_RE.match(sql)
     if match is None:
         raise QueryError(
@@ -143,15 +193,12 @@ def _parse_where(where: Optional[str]) -> Dict[str, Tuple[float, float]]:
         return {}
     bounds: Dict[str, Tuple[float, float]] = {}
     # Split on AND, then re-join the AND that belongs to BETWEEN a AND b.
-    raw = re.split(r"\s+AND\s+", where.strip(), flags=re.IGNORECASE)
+    raw = _AND_RE.split(where.strip())
     parts: List[str] = []
     i = 0
-    half_between = re.compile(
-        rf"^\w+\s+BETWEEN\s+{_NUMBER}$", re.IGNORECASE
-    )
     while i < len(raw):
         token = raw[i].strip()
-        if half_between.match(token):
+        if _HALF_BETWEEN_RE.match(token):
             if i + 1 >= len(raw):
                 raise QueryError(f"dangling BETWEEN in {where!r}")
             token = f"{token} AND {raw[i + 1].strip()}"

@@ -81,6 +81,27 @@ class TestCostMeter:
         assert first.bytes_scanned == 100
         assert meter.freeze().bytes_scanned == 200
 
+    def test_frozen_report_equals_the_meter_field_for_field_and_is_independent(self):
+        meter = CostMeter()
+        meter.charge_scan("n1", 1000, rows=10)
+        meter.charge_point_read("n2", 64, rows=1)
+        meter.charge_cpu("n1", 4096)
+        meter.charge_transfer("n1", "n2", 500)
+        meter.charge_transfer("n2", "n3", 700, wan=True)
+        meter.charge_task_startup("n3", count=2)
+        meter.charge_layers("n1", 3)
+        meter.advance(0.25)
+        frozen = meter.freeze()
+        want = meter._report.as_dict()  # every field, by reflection
+        want["nodes_touched"] = 3
+        assert frozen.as_dict() == want
+        assert all(value != 0 for value in want.values())  # no field untested
+        meter.charge_scan("n4", 10**6, rows=999)
+        meter.advance(9.0)
+        assert frozen.as_dict() == want  # later charges do not show
+        frozen.bytes_scanned = -1
+        assert meter.freeze().bytes_scanned == 1000 + 64 + 10**6
+
 
 class TestCostReport:
     def test_parallel_merge_takes_max_elapsed(self):

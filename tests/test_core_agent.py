@@ -7,6 +7,7 @@ from repro.baselines import ExactEngine
 from repro.cluster import ClusterTopology, DistributedStore
 from repro.core import AgentConfig, SEAAgent
 from repro.data import InterestProfile, WorkloadGenerator, gaussian_mixture_table
+from repro.obs import StackObserver
 from repro.queries import Count, Mean
 
 
@@ -144,3 +145,48 @@ class TestDataUpdates:
     def test_update_other_table_ignored(self, world):
         agent, _ = run_agent(world)
         assert agent.notify_data_update("other", [0, 0], [100, 100]) == 0
+
+
+class TestConstantAgentBill:
+    """A model-served answer's bill: metered once detached, every time attached."""
+
+    def test_constant_bill_equals_the_metered_report(self, world):
+        store, _, _ = world
+        agent = SEAAgent(ExactEngine(store))
+        metered = agent._meter_agent_cost()
+        assert metered.elapsed_sec == 1e-3 and metered.nodes_touched == 1
+        assert metered.bytes_scanned == 0 and metered.tasks_launched == 0
+        for _ in range(3):
+            assert agent._agent_cost().as_dict() == metered.as_dict()
+
+    def test_callers_own_the_report_they_get(self, world):
+        store, _, _ = world
+        agent = SEAAgent(ExactEngine(store))
+        first = agent._agent_cost()
+        want = first.as_dict()
+        first.elapsed_sec += 5.0
+        first.bytes_scanned = 10**9
+        second = agent._agent_cost()
+        assert second is not first
+        assert second.as_dict() == want
+
+    def test_detached_bill_meters_once_and_attached_bill_every_time(
+        self, world, monkeypatch
+    ):
+        store, _, _ = world
+        agent = SEAAgent(ExactEngine(store))
+        calls = []
+        meter = agent._meter_agent_cost
+        monkeypatch.setattr(
+            agent, "_meter_agent_cost", lambda: calls.append(1) or meter()
+        )
+        detached = [agent._agent_cost() for _ in range(5)]
+        assert len(calls) == 1
+        observer = StackObserver()
+        agent.attach_observer(observer)
+        attached = [agent._agent_cost() for _ in range(3)]
+        assert len(calls) == 4
+        spans = [s for s in observer.trace.spans if s.name == "agent_inference"]
+        assert len(spans) == 3  # one recorded span per attached answer
+        for report in detached + attached:
+            assert report.as_dict() == detached[0].as_dict()

@@ -1,7 +1,11 @@
 """Unit tests for repro.core.answer_models and repro.core.error."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError, NotTrainedError
 from repro.core import AnswerModelFactory, PrequentialErrorEstimator, QuantumModel
@@ -185,3 +189,35 @@ class TestPrequentialErrorEstimator:
     def test_invalid_quantile_rejected(self):
         with pytest.raises(ConfigurationError):
             PrequentialErrorEstimator(quantile=0.3)
+
+    _QUANTA = st.integers(0, 3)
+    _VALUES = st.floats(-1e3, 1e3, allow_nan=False)
+
+    @given(
+        st.lists(
+            st.tuples(st.just("record"), _QUANTA, _VALUES, _VALUES)
+            | st.tuples(st.just("forget"), _QUANTA)
+            | st.tuples(st.just("estimate"), _QUANTA),
+            max_size=120,
+        ),
+        st.sampled_from([0.5, 0.8, 0.9]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_estimate_is_the_quantile_of_the_live_window(self, steps, q):
+        """The remembered quantile never outlives the window it was read off."""
+        est = PrequentialErrorEstimator(quantile=q, window=8, min_observations=3)
+        windows = {}
+        for op, quantum, *args in steps:
+            if op == "record":
+                rel = est.record(quantum, *args)
+                windows.setdefault(quantum, deque(maxlen=8)).append(rel)
+            elif op == "forget":
+                est.forget(quantum)
+                windows.pop(quantum, None)
+            for _ in range(2):  # a repeat reads the memo: same answer
+                got = est.estimate(quantum)
+                window = windows.get(quantum, ())
+                if len(window) < 3:
+                    assert got is None
+                else:
+                    assert got == float(np.quantile(np.asarray(window), q))

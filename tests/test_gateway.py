@@ -17,6 +17,7 @@ from repro.common.errors import ConfigurationError
 from repro.core import AgentConfig, SEAAgent
 from repro.data import gaussian_mixture_table, InterestProfile, WorkloadGenerator
 from repro.queries import Count
+from repro.queries import sql as sql_module
 from repro.serve import (
     AdaptiveBatcher,
     AdmissionQueue,
@@ -761,6 +762,105 @@ class TestServingGateway:
 # ---------------------------------------------------------------------------
 # The outcome-driven window: a real AdaptiveBatcher on an injected clock
 # ---------------------------------------------------------------------------
+def as_sql(query) -> str:
+    sel = query.selection
+    where = " AND ".join(
+        f"{c} BETWEEN {float(lo)!r} AND {float(hi)!r}"
+        for c, lo, hi in zip(sel.columns, sel.lows, sel.highs)
+    )
+    return f"SELECT COUNT(*) FROM {query.table_name} WHERE {where}"
+
+
+class TestRepeatedStatements:
+    """Statement templates are invisible in everything the gateway returns."""
+
+    def _serve(self, event_loop, statements, before_each):
+        session = make_session()
+        gateway = ServingGateway(
+            session, GatewayConfig(), agent_config=agent_config(), own_session=False
+        )
+        gateway.batcher = FakeBatcher(window=0.0, target=1)
+
+        async def run():
+            answers = []
+            async with gateway:
+                for text in statements:
+                    before_each()
+                    answers.append(await gateway.submit(text, tenant="alice"))
+            return answers
+
+        answers = event_loop.run_until_complete(run())
+        history = list(gateway.tenant("alice").agent.history)
+        session.close()
+        return answers, history
+
+    def test_warm_and_cleared_memo_serve_identically(self, event_loop):
+        distinct = [as_sql(q) for q in make_workload().batch(60)]
+        rng = np.random.default_rng(5)
+        # Every text is sent about four times, interleaved.
+        statements = [distinct[i] for i in rng.integers(0, 60, size=240)]
+        cold_answers, cold = self._serve(
+            event_loop, statements, sql_module._template.cache_clear
+        )
+        for text in distinct:
+            sql_module.parse_query(text)
+        parses = sql_module._template.cache_info().misses
+        warm_answers, warm = self._serve(event_loop, statements, lambda: None)
+        assert sql_module._template.cache_info().misses == parses  # all repeats
+        assert {r.mode for r in warm} == {"train", "predicted", "fallback"}
+        assert len(warm) == len(cold) == 240
+        for a, b in zip(warm_answers, cold_answers):
+            assert (a.mode, a.batched) == (b.mode, b.batched)
+            assert np.array_equal(np.asarray(a.value), np.asarray(b.value))
+            assert a.cost.__dict__ == b.cost.__dict__
+        for a, b in zip(warm, cold):
+            assert a.mode == b.mode
+            assert np.array_equal(np.asarray(a.answer), np.asarray(b.answer))
+            assert a.cost.__dict__ == b.cost.__dict__
+            assert (a.prediction is None) == (b.prediction is None)
+            if a.prediction is not None:
+                mine, theirs = vars(a.prediction).copy(), vars(b.prediction).copy()
+                assert mine.pop("value").tobytes() == theirs.pop("value").tobytes()
+                assert mine == theirs
+        # Requests stayed distinct objects although their texts repeat.
+        assert len({id(r.query) for r in warm}) == 240
+
+    def test_identical_statements_in_one_batch_keep_separate_profiles(
+        self, event_loop
+    ):
+        session = make_session()
+        gateway = ServingGateway(
+            session,
+            GatewayConfig(max_batch=8),
+            agent_config=agent_config(),
+            own_session=False,
+        )
+        gateway.batcher = FakeBatcher(window=0.002, target=8)
+        observer = gateway.attach_observer()
+        warm = [as_sql(q) for q in make_workload().batch(40)]
+        text = warm[-1]
+
+        async def run():
+            async with gateway:
+                for statement in warm:
+                    await gateway.submit(statement, tenant="alice", timeout=30.0)
+                return await gateway.submit_many(
+                    [text, text, warm[0], text], tenant="alice", timeout=30.0
+                )
+
+        answers = event_loop.run_until_complete(run())
+        session.close()
+        twins = [answers[0], answers[1], answers[3]]
+        assert all(a.batched and a.batch_size == 4 for a in answers)
+        assert len({id(a.query) for a in twins}) == 3
+        assert twins[0].query.selection is twins[1].query.selection
+        profiles = [a.profile for a in twins]
+        assert all(p is not None for p in profiles)
+        assert len({id(p) for p in profiles}) == 3
+        assert len(observer.profiles) == 44  # one record per request
+        assert [p.mode for p in profiles] == [a.mode for a in twins]
+
+
 class TickClock:
     """Scheduling clock that advances one microsecond per reading.
 

@@ -1,6 +1,7 @@
 """Tests for learned-state persistence (repro.core.persistence)."""
 
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -63,6 +64,35 @@ class TestPredictorRoundtrip:
         before = restored.n_observed
         restored.observe([5.0, 5.0], 20.0)
         assert restored.n_observed == before + 1
+
+    def test_blob_written_before_the_estimate_memo_existed_restores(self):
+        """An old file has no ``_estimates``; a new one never carries it."""
+        predictor = trained_predictor(seed=4)
+        errors = predictor.errors
+        quantum = max(predictor.quantum_ids(), key=errors.n_observations)
+        before = errors.estimate(quantum)  # fills the memo
+        assert before is not None
+        del errors.__dict__["_estimates"]  # the parent commit's shape
+        buffer = io.BytesIO()
+        save_predictor(predictor, buffer)
+        buffer.seek(0)
+        restored = load_predictor(buffer).errors
+        assert restored.estimate(quantum) == before
+        restored.record(quantum, 0.0, 100.0)  # one terrible residual
+        window = np.asarray(restored._residuals[quantum])
+        assert restored.estimate(quantum) == float(
+            np.quantile(window, restored.quantile)
+        )
+        assert restored.estimate(quantum) != before
+
+    def test_estimate_memo_is_not_pickled(self):
+        predictor = trained_predictor(seed=5)
+        for quantum in predictor.quantum_ids():
+            predictor.errors.estimate(quantum)
+        assert predictor.errors._estimates
+        state = pickle.loads(pickle.dumps(predictor.errors)).__dict__
+        assert state["_estimates"] == {}
+        assert state["_residuals"] == predictor.errors._residuals
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.sea"

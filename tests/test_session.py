@@ -1,11 +1,14 @@
 """Tests for the high-level SEASession facade."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro import SEASession
 from repro.core import AgentConfig
 from repro.data import Table, gaussian_mixture_table
+from repro.queries import sql as sql_module
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +145,85 @@ class TestSessionClose:
             assert session.sql(self._query()).value == 500.0
         assert session.closed
         session.close()  # still safe after the context exit
+
+
+class TestRepeatedStatementCost:
+    """What the data-less path recomputes: counted, not timed."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        session = SEASession(
+            n_nodes=4,
+            config=AgentConfig(training_budget=150, error_threshold=0.25),
+        )
+        table = gaussian_mixture_table(
+            20_000, dims=("x0", "x1"), seed=9, name="data"
+        )
+        session.load_table(table)
+        rng = np.random.default_rng(10)
+        anchor = table.matrix(("x0", "x1"))[5]
+        for _ in range(400):
+            center = anchor + rng.normal(scale=2.0, size=2)
+            session.sql(sql_around(center, float(rng.uniform(5, 9))))
+        sql_module._template.cache_clear()  # counts start from a cold memo
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            sql_module, "_parse", counting("parse", sql_module._parse)
+        )
+        monkeypatch.setattr(np, "quantile", counting("quantile", np.quantile))
+        return session, anchor, counts
+
+    def test_second_sql_of_one_text_parses_and_estimates_nothing(self, counted):
+        session, anchor, counts = counted
+        text = sql_around(anchor, 7.0)
+        first = session.sql(text)
+        assert first.mode == "predicted"
+        assert counts["parse"] == 1
+        counts.clear()
+        second = session.sql(text)
+        assert counts == {}
+        assert second.query is not first.query
+        assert (second.mode, second.value) == (first.mode, first.value)
+        assert second.cost.as_dict() == first.cost.as_dict()
+
+    def test_learning_fallback_recomputes_the_quantum_estimate_exactly_once(
+        self, counted
+    ):
+        session, anchor, counts = counted
+        agent = session.agent
+
+        def served(width):
+            answer = session.sql(sql_around(anchor, width))
+            record = agent.history[-1]
+            assert record.query is answer.query
+            return record
+
+        quantum = served(7.0).prediction.quantum_id
+        counts.clear()
+        # New texts, same quantum, nothing learned in between: each is
+        # parsed and predicted, the window's quantile is not re-read.
+        for width in (7.01, 7.02):
+            record = served(width)
+            assert record.mode == "predicted"
+            assert record.prediction.quantum_id == quantum
+        assert counts == {"parse": 2}
+        # A learning fallback in that quantum: record() drops the memo
+        # (and the signature's cached answers go with the version bump).
+        agent.config.error_threshold = 0.0
+        fallback = served(7.03)
+        agent.config.error_threshold = 0.25
+        assert fallback.mode == "fallback"
+        assert fallback.prediction.quantum_id == quantum
+        counts.clear()
+        again = [served(width) for width in (7.0, 7.01, 7.02)]
+        assert [r.mode for r in again] == ["predicted"] * 3
+        assert {r.prediction.quantum_id for r in again} == {quantum}
+        assert counts == {"quantile": 1}  # known texts; one fresh quantile

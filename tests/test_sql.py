@@ -1,11 +1,18 @@
 """Tests for the SQL-like front end (repro.queries.sql)."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import QueryError
 from repro.data import Table
 from repro.queries import parse_query
+from repro.queries import sql as sql_module
 from repro.queries.aggregates import (
     Correlation,
     Count,
@@ -208,3 +215,174 @@ class TestSQLProperty:
         assert bounds["a"][1] == pytest.approx(lo0 + w0)
         assert bounds["b"][0] == pytest.approx(lo1)
         assert bounds["b"][1] == pytest.approx(lo1 + w1)
+
+
+# Statement templates: a repeated text is answered from the memo ---------------
+_COLUMNS = ("x0", "x1", "x2", "value")
+_AGGREGATES = st.sampled_from(
+    [
+        "COUNT(*)",
+        "count(*)",
+        "SUM(value)",
+        "AVG(value)",
+        "Mean(x1)",
+        "MIN(x0)",
+        "MAX(x0)",
+        "STD(value)",
+        "VAR(value)",
+        "MEDIAN(value)",
+        "QUANTILE(value, 0.9)",
+        "CORR(x0, value)",
+        "REGR(value; x0, x1)",
+    ]
+)
+_NUMBERS = st.floats(-1e6, 1e6, allow_nan=False).map(repr) | st.integers(
+    -1000, 1000
+).map(str)
+
+
+@st.composite
+def _predicates(draw):
+    column = draw(st.sampled_from(_COLUMNS))
+    if draw(st.booleans()):
+        lo, hi = draw(_NUMBERS), draw(_NUMBERS)
+        between = draw(st.sampled_from(["BETWEEN", "between"]))
+        return f"{column} {between} {lo} AND {hi}"
+    op = draw(st.sampled_from([">=", "<=", ">", "<"]))
+    return f"{column} {op} {draw(_NUMBERS)}"
+
+
+@st.composite
+def statements(draw):
+    """Statements in the grammar; some contradictory, so some do not parse."""
+    where = draw(st.sampled_from([" AND ", " and ", "  AND  "])).join(
+        draw(st.lists(_predicates(), min_size=1, max_size=4))
+    )
+    return (
+        f"SELECT {draw(_AGGREGATES)} FROM {draw(st.sampled_from(['t', 'data']))} "
+        f"WHERE {where}{draw(st.sampled_from(['', ';', ' ']))}"
+    )
+
+
+def _memo_size() -> int:
+    return sql_module._template.cache_info().currsize
+
+
+def _assert_same_parse(got, want):
+    assert got.table_name == want.table_name
+    assert type(got.selection) is type(want.selection)
+    assert got.selection.columns == want.selection.columns
+    assert got.selection.lows.tobytes() == want.selection.lows.tobytes()
+    assert got.selection.highs.tobytes() == want.selection.highs.tobytes()
+    assert got.vector().tobytes() == want.vector().tobytes()
+    assert got.vector().dtype == want.vector().dtype
+    assert got.signature() == want.signature()
+    assert got.extent_key() == want.extent_key()
+    assert type(got.aggregate) is type(want.aggregate)
+    assert vars(got.aggregate) == vars(want.aggregate)
+
+
+class TestStatementTemplates:
+    @given(statements())
+    @settings(max_examples=200, deadline=None)
+    def test_memoized_parse_equals_fresh_parse(self, text):
+        try:
+            want = sql_module._parse(text)
+        except QueryError:
+            before = _memo_size()
+            for _ in range(2):  # raised every time, never stored
+                with pytest.raises(QueryError):
+                    parse_query(text)
+            assert _memo_size() == before
+            return
+        _assert_same_parse(parse_query(text), want)  # first sight or repeat
+        _assert_same_parse(parse_query(text), want)  # certainly a repeat
+
+    def test_repeats_are_distinct_shells_around_shared_read_only_parts(self):
+        text = "SELECT AVG(value) FROM t WHERE x0 BETWEEN 1 AND 2 AND x1 >= 3"
+        first, second = parse_query(text), parse_query(text)
+        assert first is not second
+        assert first.selection is second.selection
+        assert first.aggregate is second.aggregate
+        assert first.vector() is second.vector()
+        for array in (first.selection.lows, first.selection.highs, first.vector()):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # A request may carry its own attributes; they stay its own.
+        first.request_id = 7
+        assert not hasattr(second, "request_id")
+        assert not hasattr(parse_query(text), "request_id")
+
+    def test_exact_text_is_the_key(self):
+        """No normalisation: a respelling is another template, same meaning."""
+        a = parse_query("SELECT COUNT(*) FROM t WHERE x0 BETWEEN 1 AND 2")
+        b = parse_query("select COUNT(*) FROM t WHERE x0 BETWEEN 1 AND 2")
+        assert a.selection is not b.selection
+        assert a.extent_key() == b.extent_key()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "DROP TABLE students",
+            "SELECT COUNT(*) FROM t",
+            "SELECT COUNT(*) FROM t WHERE x0 >= 10 AND x0 <= 5",
+            "SELECT COUNT(*) FROM t WHERE x0 BETWEEN 5",
+            "SELECT MODE(value) FROM t WHERE x0 >= 0",
+        ],
+    )
+    def test_errors_raise_every_time_and_are_never_stored(self, text):
+        before = _memo_size()
+        for _ in range(3):
+            with pytest.raises(QueryError):
+                parse_query(text)
+        assert _memo_size() == before
+
+    def test_memo_is_bounded(self):
+        bound = sql_module.TEMPLATE_MEMO_SIZE
+        for i in range(10_000):
+            parse_query(f"SELECT COUNT(*) FROM t WHERE x0 BETWEEN {i} AND {i + 1}")
+        assert _memo_size() == bound
+        assert sql_module._template.cache_info().maxsize == bound
+        # The oldest texts were dropped and simply parse again.
+        query = parse_query("SELECT COUNT(*) FROM t WHERE x0 BETWEEN 0 AND 1")
+        assert (query.selection.lows[0], query.selection.highs[0]) == (0.0, 1.0)
+
+    def test_threads_parsing_an_overlapping_pool_never_raise(self):
+        # More texts than the memo holds, so probes, inserts and
+        # evictions all interleave.
+        pool = [
+            f"SELECT SUM(value) FROM t WHERE x0 BETWEEN {i} AND {i + 2} AND x1 <= {i}"
+            for i in range(sql_module.TEMPLATE_MEMO_SIZE + 500)
+        ]
+        errors, parsed = [], [0, 0, 0]
+        deadline = time.monotonic() + 1.0
+
+        def worker(slot: int, step: int) -> None:
+            i = slot * 1000
+            try:
+                while time.monotonic() < deadline:
+                    i = (i + step) % len(pool)
+                    query = parse_query(pool[i])
+                    if query.selection.lows[0] != float(i):
+                        raise AssertionError(f"{pool[i]!r} parsed as {query!r}")
+                    parsed[slot] += 1
+            except BaseException as exc:  # reported below, on the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(slot, step))
+            for slot, step in enumerate((1, 7, 4093))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(n > 0 for n in parsed)
+        assert _memo_size() <= sql_module.TEMPLATE_MEMO_SIZE
