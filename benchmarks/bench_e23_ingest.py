@@ -30,6 +30,14 @@ sweep of epoch lengths and measures what that contract costs:
   ``dirty_first_read_ratio`` (median first / median second) is ~1 when
   that fold costs what was appended and grows with the partition when
   it re-copies it.  Gated at ``<= 1.5``.
+* **Tail read (recorded):** a second store carries an arrival-ordered
+  ``ts`` column; after each append a ``COUNT(*)`` over the ``ts`` tail
+  AND an ``x0`` window runs on the dirty store (this read also folds
+  the new rows into the views), and the same statement runs again once
+  the epoch is compacted.  ``dirty_tail_read_ms`` is what a read of
+  fresh data costs — per partition the view extension, the delta zone
+  check, two binary searches and a compare over the span;
+  ``dirty_tail_read_ratio`` is that over the compacted read.
 
 The cumulative ``BENCH_ingest.json`` trajectory stores medians + IQRs
 per epoch length plus the scale knobs and ``host_cpus``.  Scale via
@@ -72,6 +80,8 @@ COLUMNS = ("x0", "x1")
 # Read-after-append leg: each epoch's batch lands as this many appends.
 APPENDS_PER_EPOCH = 8
 DIRTY_FIRST_READ_GATE = 1.5
+# Tail read: how far below the newest ``ts`` the statement reaches.
+TAIL_DEPTH = 4_096
 
 
 def base_table() -> Table:
@@ -185,7 +195,8 @@ def images_equal(a: Table, b: Table) -> bool:
 
 
 def run_read_after_append():
-    """Time the first and the second identical exact read after each append."""
+    """Time the first and the second identical exact read after each
+    append, then (on a store of its own) the tail reads."""
     store = DistributedStore(ClusterTopology.single_datacenter(N_NODES))
     store.put_table(base_table(), partitions_per_node=PARTS_PER_NODE)
     pipeline = store.enable_ingest(IngestConfig(epoch_seconds=1.0))
@@ -213,6 +224,59 @@ def run_read_after_append():
         "dirty_second_read_ms": second_ms,
         "dirty_first_read_ratio": first_ms / second_ms,
         "dirty_read_samples": len(first),
+        **run_tail_reads(),
+    }
+
+
+def run_tail_reads():
+    """COUNT(*) over the ``ts`` tail AND an ``x0`` window after each
+    append (dirty), and the same statement once the epoch is compacted.
+
+    A store of its own: an arrival-ordered column kept sorted costs the
+    view extension a look at each appended piece, which would move the
+    first/second ratio above away from its committed trajectory.
+    """
+    store = DistributedStore(ClusterTopology.single_datacenter(N_NODES))
+    store.put_table(
+        base_table().with_column("ts", np.arange(N_ROWS, dtype=float)),
+        partitions_per_node=PARTS_PER_NODE,
+    )
+    pipeline = store.enable_ingest(IngestConfig(epoch_seconds=1.0))
+    engine = ExactEngine(store)
+    dirty, compacted = [], []
+    written = N_ROWS
+    gc.collect()
+    gc.disable()
+    try:
+        for batch in write_batches():
+            for piece in batch.split(APPENDS_PER_EPOCH):
+                ts = written + np.arange(piece.n_rows, dtype=float)
+                written += piece.n_rows
+                pipeline.append("data", piece.with_column("ts", ts))
+                tail = AnalyticsQuery(
+                    "data",
+                    RangeSelection(
+                        ("ts", "x0"),
+                        [written - 1.0 - TAIL_DEPTH, 20.0],
+                        [written - 1.0, 60.0],
+                    ),
+                    Count(),
+                )
+                (staged, _), seconds = wallclock(lambda: engine.execute(tail))
+                dirty.append(seconds)
+            assert repr(staged) == repr(engine.ground_truth(tail))
+            pipeline.flush()
+            (merged, _), seconds = wallclock(lambda: engine.execute(tail))
+            assert repr(merged) == repr(staged)
+            compacted.append(seconds)
+    finally:
+        gc.enable()
+    dirty_ms = 1e3 * trial_stats(dirty)["median"]
+    compacted_ms = 1e3 * trial_stats(compacted)["median"]
+    return {
+        "dirty_tail_read_ms": dirty_ms,
+        "compacted_tail_read_ms": compacted_ms,
+        "dirty_tail_read_ratio": dirty_ms / compacted_ms,
     }
 
 
@@ -332,3 +396,4 @@ def test_e23_ingest(benchmark):
     benchmark.extra_info["dirty_first_read_ratio"] = dirty_reads[
         "dirty_first_read_ratio"
     ]
+    benchmark.extra_info["dirty_tail_read_ms"] = dirty_reads["dirty_tail_read_ms"]

@@ -104,17 +104,21 @@ class TablePartition:
                 view = view.select(~delta.deleted_base)
             seen = 0
         if seen < n_rows:
-            view = view.appended(delta.rows.slice_rows(seen, n_rows))
+            view = view.appended(delta.rows, seen, n_rows)
         self._view = (delta.shape_version, n_rows, view)
         return view
 
     @property
     def n_rows(self) -> int:
-        return self.read_view().n_rows
+        """Rows of :meth:`read_view`, counted without building it."""
+        delta = self.delta
+        if delta is None:
+            return self.data.n_rows
+        return delta.live_base_rows + delta.n_rows
 
     @property
     def n_bytes(self) -> int:
-        return self.read_view().n_bytes
+        return self.n_rows * self.data.row_bytes
 
     @property
     def base_stored_bytes(self) -> int:
@@ -136,7 +140,7 @@ class TablePartition:
         """Average serialized bytes one full row costs to point-read."""
         if self.columnar is not None and self.n_rows > 0 and not self.dirty:
             return max(1, self.columnar.encoded_bytes // self.n_rows)
-        return self.read_view().row_bytes
+        return self.data.row_bytes
 
     def take(self, indices) -> Table:
         """Materialise full rows at the given positions.

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.common.errors import QueryError
+from repro.common.errors import ConfigurationError, QueryError
 from repro.common.validation import require
 
 _BYTES_PER_VALUE = 8  # float64 / int64 storage
@@ -29,15 +29,30 @@ class _AppendBuffer:
 
     ``used`` is the length of the longest table handed out over these
     arrays — the *tail*.  Rows below ``used`` are never rewritten; rows
-    at or above it belong to nobody yet.
+    at or above it belong to nobody yet.  ``agreed`` is the buffer of
+    the last piece source whose schema and dtypes matched these arrays:
+    every table over one buffer has that buffer's layout, so the match
+    is decided once per pair of buffers, not per append.
     """
 
-    __slots__ = ("arrays", "capacity", "used")
+    __slots__ = ("arrays", "capacity", "used", "agreed")
 
     def __init__(self, arrays: Dict[str, np.ndarray], capacity: int, used: int):
         self.arrays = arrays
         self.capacity = capacity
         self.used = used
+        self.agreed: Optional[_AppendBuffer] = None
+
+
+def _nondecreasing(col: np.ndarray) -> bool:
+    """True iff ``col`` never steps down and holds no NaN.
+
+    A NaN fails every comparison, its own included, so one anywhere
+    fails a neighbour test (or, alone in the column, the self test).
+    """
+    return bool((col[1:] >= col[:-1]).all()) and (
+        col.shape[0] == 0 or bool(col[0] == col[0])
+    )
 
 
 class Table:
@@ -83,6 +98,8 @@ class Table:
         self._n_rows = lengths.pop()
         self._n_columns = len(arrays)
         self._buffer: Optional[_AppendBuffer] = None
+        # Answers :meth:`is_sorted` has given (or inherited), by column.
+        self._sorted: Dict[str, bool] = {}
 
     @classmethod
     def from_arrays(
@@ -110,6 +127,7 @@ class Table:
         self._n_rows = n_rows
         self._n_columns = len(columns)
         self._buffer = None
+        self._sorted = {}
         return self
 
     # Basic properties ----------------------------------------------------
@@ -145,6 +163,30 @@ class Table:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.column(name)
+
+    def is_sorted(self, name: str) -> bool:
+        """True iff column ``name`` is non-decreasing and NaN-free.
+
+        One vectorised pass the first time it is asked, then remembered
+        (columns are immutable).  :meth:`select`, :meth:`slice_rows` and
+        :meth:`appended` keep the rows' order, so their result inherits
+        what this table knows instead of asking again: a sub-sequence of
+        a sorted column is sorted, and a column grown at its tail stays
+        sorted iff the new rows are and start at or above the old last
+        value (unsorted stays unsorted).
+        """
+        known = self._sorted.get(name)
+        if known is None:
+            known = self._sorted[name] = _nondecreasing(self.column(name))
+        return known
+
+    def _sorted_columns(self) -> Dict[str, bool]:
+        """What a sub-sequence of these rows inherits: the sorted columns
+        (a piece of an unsorted one may be either, so it asks afresh).
+        Copied first: a reader may be adding its own answer meanwhile."""
+        if not self._sorted:  # the write path's pieces know nothing yet
+            return {}
+        return {c: True for c, known in self._sorted.copy().items() if known}
 
     def __contains__(self, name: str) -> bool:
         return name in self._columns
@@ -183,11 +225,13 @@ class Table:
             mask.shape == (self.n_rows,),
             f"mask shape {mask.shape} does not match {self.n_rows} rows",
         )
-        return Table(
+        out = Table(
             {key: arr[mask] for key, arr in self._columns.items()},
             name=self.name,
             value_bytes=self.value_bytes,
         )
+        out._sorted = self._sorted_columns()
+        return out
 
     def take(self, indices) -> "Table":
         """Rows at the given integer positions, as a new table."""
@@ -210,11 +254,13 @@ class Table:
         """Rows in [start, stop), as a new table."""
         # Slices of validated columns need no re-validation, and each
         # ``arr[start:stop]`` is a fresh view from_arrays may mark.
-        return Table.from_arrays(
+        out = Table.from_arrays(
             {key: arr[start:stop] for key, arr in self._columns.items()},
             name=self.name,
             value_bytes=self.value_bytes,
         )
+        out._sorted = self._sorted_columns()
+        return out
 
     def with_column(self, name: str, values) -> "Table":
         """Copy of this table with one column added or replaced."""
@@ -244,19 +290,21 @@ class Table:
             value_bytes=parts[0].value_bytes,
         )
 
-    def appended(self, piece: "Table") -> "Table":
-        """``concat([self, piece])``, element for element, in amortised
-        O(len(piece)).
+    def appended(
+        self, piece: "Table", start: int = 0, stop: Optional[int] = None
+    ) -> "Table":
+        """``concat([self, piece.slice_rows(start, stop)])``, element for
+        element, in amortised O(rows added); by default all of ``piece``.
 
         The result sits in a capacity-padded buffer.  When ``self`` is
         that buffer's *tail* (the longest table handed out over it) and
-        the spare capacity holds ``piece``, the new rows are written
-        past ``self`` in place and the result shares every earlier row
-        with it; otherwise both are copied into a fresh buffer (the
-        Go-slice rule).  A table that is not the tail is never written
-        past, and rows already handed out are never rewritten, so
-        columns stay immutable for every holder: two appends from one
-        parent do not see each other's rows.
+        the spare capacity holds the new rows, they are written past
+        ``self`` in place and the result shares every earlier row with
+        it; otherwise both are copied into a fresh buffer (the Go-slice
+        rule).  A table that is not the tail is never written past, and
+        rows already handed out are never rewritten, so columns stay
+        immutable for every holder: two appends from one parent do not
+        see each other's rows.
 
         Assumes one appending thread per buffer (readers of tables
         handed out earlier need no coordination).  Pieces whose dtypes
@@ -264,13 +312,21 @@ class Table:
         promotes.
         """
         columns = self._columns
-        if piece.column_names != self.column_names or any(
-            piece._columns[c].dtype != arr.dtype for c, arr in columns.items()
-        ):
-            return Table.concat([self, piece])
-        n_rows = self._n_rows
-        total = n_rows + piece._n_rows
+        if stop is None:
+            stop = piece._n_rows
+        if not 0 <= start <= stop <= piece._n_rows:  # (message built on failure only)
+            raise ConfigurationError(
+                f"rows [{start}, {stop}) are not a range of {piece._n_rows} rows"
+            )
         buffer = self._buffer
+        source = piece._buffer
+        if (buffer is None or source is None or buffer.agreed is not source) and (
+            piece.column_names != self.column_names
+            or any(piece._columns[c].dtype != arr.dtype for c, arr in columns.items())
+        ):
+            return Table.concat([self, piece.slice_rows(start, stop)])
+        n_rows = self._n_rows
+        total = n_rows + stop - start
         if buffer is None or buffer.used != n_rows or buffer.capacity < total:
             capacity = total + total // _APPEND_SLACK_DIVISOR
             arrays = {}
@@ -278,15 +334,23 @@ class Table:
                 arrays[c] = grown = np.empty(capacity, dtype=arr.dtype)
                 grown[:n_rows] = arr
             buffer = _AppendBuffer(arrays, capacity, n_rows)
+        whole = total - n_rows == piece._n_rows  # the write path: no slices
         for c, arr in buffer.arrays.items():
-            arr[n_rows:total] = piece._columns[c]
+            new = piece._columns[c]
+            arr[n_rows:total] = new if whole else new[start:stop]
         buffer.used = total
+        buffer.agreed = source
         out = Table.from_arrays(
             {c: arr[:total] for c, arr in buffer.arrays.items()},
             name=self.name,
             value_bytes=self.value_bytes,
         )
         out._buffer = buffer
+        # The old last row and the new ones decide it: no parent rescan.
+        if self._sorted:
+            seam = max(n_rows - 1, 0)
+            for c, known in self._sorted.copy().items():
+                out._sorted[c] = known and _nondecreasing(out._columns[c][seam:])
         return out
 
     # I/O -----------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.engine.colscan import (
     encoded_batch_masks,
 )
 from repro.parallel.spec import TaskSpec
-from repro.queries.selections import batch_masks
+from repro.queries.selections import RangeSelection, batch_masks
 
 __all__ = [
     "QueryPartialSpec",
@@ -57,10 +57,46 @@ class QueryPartialSpec(TaskSpec):
             (
                 0,
                 self.aggregate.partial_from_mask(
-                    partition, self.selection.mask(partition)
+                    partition, _span_mask(partition, self.selection)
                 ),
             )
         ]
+
+
+def _span_mask(table, selection) -> np.ndarray:
+    """``selection.mask(table)``, bit for bit, comparing only rows that
+    a sorted column cannot rule out by position.
+
+    Each range conjunct over a column the table knows to be sorted
+    becomes two binary searches — ``left`` for the low bound and
+    ``right`` for the high one put ties and ``-0.0``/``0.0`` where
+    ``>=``/``<=`` put them — and their intersection one span
+    ``[start, stop)``; the other conjuncts are compared over that span
+    only and every row outside it stays False.  A NaN bound selects
+    nothing, which the comparison already says.  With no sorted column
+    this is the plain mask.
+    """
+    if type(selection) is not RangeSelection:
+        return selection.mask(table)
+    start, stop = 0, table.n_rows
+    rest = []
+    for conjunct in zip(selection.columns, selection.lows, selection.highs):
+        name, lo, hi = conjunct
+        if lo == lo and hi == hi and table.is_sorted(name):
+            col = table.column(name)
+            start = max(start, int(col.searchsorted(lo, "left")))
+            stop = min(stop, int(col.searchsorted(hi, "right")))
+        else:
+            rest.append(conjunct)
+    if len(rest) == len(selection.columns):
+        return selection.mask(table)
+    mask = np.zeros(table.n_rows, dtype=bool)
+    span = mask[start:stop]
+    span[:] = True
+    for name, lo, hi in rest:
+        col = table.column(name)[start:stop]
+        span &= (col >= lo) & (col <= hi)
+    return mask
 
 
 class BatchPartialSpec(TaskSpec):

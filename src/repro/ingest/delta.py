@@ -26,7 +26,8 @@ equal).
 ``clear()``): while it stands still the effective content only grows
 at its tail, so the partition extends its materialized view by
 ``rows[seen:]`` instead of rebuilding it (see
-:meth:`~repro.cluster.storage.TablePartition.read_view`).
+:meth:`~repro.cluster.storage.TablePartition.read_view`), and the
+memtable's zone map (:class:`DeltaZone`) is extended by the same rows.
 ``last_lsn`` records the newest WAL record folded in, which becomes the
 partition's ``applied_lsn`` checkpoint at compaction — the cursor that
 makes WAL replay idempotent.
@@ -34,12 +35,69 @@ makes WAL replay idempotent.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.validation import require
 from repro.data.tabular import Table
+
+
+def _extend_zone(zone: Tuple[float, float], col: np.ndarray) -> Tuple[float, float]:
+    """``zone`` grown by the values of ``col`` (non-empty).
+
+    ``np.minimum``/``np.maximum`` propagate a NaN from either side, as
+    ``col.min()`` over the whole column would (python's ``min`` keeps or
+    drops it by argument order).
+    """
+    return (
+        float(np.minimum(zone[0], col.min())),
+        float(np.maximum(zone[1], col.max())),
+    )
+
+
+class DeltaZone:
+    """Zone map of one memtable version: row count, per-column min/max.
+
+    No sums — a statistic that was never computed cannot be read.  A
+    column's zone is folded when :meth:`disjoint` first names it and
+    kept in ``_zones`` (``{column: (rows folded in, min, max)}``), which
+    successive versions share while no row has left: each then folds
+    only the rows appended since the column was last asked about.
+    """
+
+    __slots__ = ("rows", "_zones")
+
+    def __init__(self, rows: Table, zones: Dict[str, Tuple[int, float, float]]):
+        self.rows = rows
+        self._zones = zones
+
+    @property
+    def n_rows(self) -> int:
+        return self.rows.n_rows
+
+    def zone(self, name: str) -> Tuple[float, float]:
+        """``(min, max)`` of one column; ``(inf, -inf)`` when empty."""
+        seen, low, high = self._zones.get(name, (0, float("inf"), float("-inf")))
+        n_rows = self.rows.n_rows
+        if seen < n_rows:
+            low, high = _extend_zone((low, high), self.rows.column(name)[seen:])
+            self._zones[name] = (n_rows, low, high)
+        # (A zone folded past this version's rows bounds a superset of
+        # them: still a proof when it says disjoint.)
+        return low, high
+
+    def disjoint(self, columns: Sequence[str], lows, highs) -> bool:
+        """True iff no memtable row can fall inside the box — the test
+        :meth:`PartitionSynopsis.disjoint` makes: exact comparisons,
+        unknown and NaN-bearing columns conservatively not disjoint."""
+        for name, lo, hi in zip(columns, lows, highs):
+            if name not in self.rows:
+                continue
+            minimum, maximum = self.zone(name)
+            if maximum < lo or minimum > hi:
+                return True
+        return False
 
 
 class DeltaPartition:
@@ -56,6 +114,7 @@ class DeltaPartition:
         "last_lsn",
         "_synopsis",
         "_synopsis_version",
+        "_zones",
     )
 
     def __init__(self, base_rows: int) -> None:
@@ -69,8 +128,10 @@ class DeltaPartition:
         self.shape_version = 0
         self.first_lsn = 0
         self.last_lsn = 0
-        self._synopsis = None
+        self._synopsis: Optional[DeltaZone] = None
         self._synopsis_version = -1
+        #: Column zones of ``rows``, dropped whenever a row leaves it.
+        self._zones: Dict[str, Tuple[int, float, float]] = {}
 
     # State -----------------------------------------------------------------
     @property
@@ -127,6 +188,7 @@ class DeltaPartition:
             self.n_deleted += base_deleted
         if deleted > base_deleted:
             self.rows = self.rows.select(~delta_part)
+            self._zones = {}
             if self.rows.n_rows == 0:
                 self.rows = None
         self.shape_version += 1
@@ -144,6 +206,7 @@ class DeltaPartition:
         self.shape_version += 1
         self._synopsis = None
         self._synopsis_version = -1
+        self._zones = {}
 
     def rebase(self, base_rows: int) -> None:
         """Point at a freshly merged base of ``base_rows`` rows."""
@@ -151,19 +214,18 @@ class DeltaPartition:
         self.clear()
 
     # Pruning support -------------------------------------------------------
-    def synopsis(self):
-        """Zone-map stats over the *appended* rows only (cached).
+    def synopsis(self) -> Optional[DeltaZone]:
+        """Zone map over the *appended* rows only (one object per version).
 
         A base-synopsis SKIP verdict stays sound for a dirty partition
         iff the memtable is also disjoint from the query box — this is
-        the delta side of that check.  Deletes never un-skip.
+        the delta side of that check.  Deletes never un-skip.  Kept, not
+        rebuilt: see :class:`DeltaZone`.
         """
         if self.rows is None:
             return None
         if self._synopsis_version != self.version:
-            from repro.cluster.synopsis import PartitionSynopsis
-
-            self._synopsis = PartitionSynopsis.from_table(self.rows)
+            self._synopsis = DeltaZone(self.rows, self._zones)
             self._synopsis_version = self.version
         return self._synopsis
 

@@ -32,6 +32,8 @@ from repro.ingest import (
 )
 from repro.queries import AnalyticsQuery, Count, RangeSelection, Sum
 from repro.session import SEASession
+from tests.test_sorted_span import arrivals
+from tests.test_table import brute_sorted
 
 
 def make_table(n=400, seed=3, name="data"):
@@ -203,6 +205,18 @@ class TestDeltaPartition:
         assert first is delta.synopsis()
         delta.append(make_batch(1, 4), lsn=2)
         assert delta.synopsis() is not first
+
+    def test_synopsis_is_a_zone_map_without_sums(self):
+        delta = DeltaPartition(0)
+        assert delta.synopsis() is None
+        batch = make_batch(8, 3)
+        delta.append(batch, lsn=1)
+        zone = delta.synopsis()
+        assert zone.n_rows == 8
+        assert zone.zone("x0") == (batch["x0"].min(), batch["x0"].max())
+        assert not hasattr(zone, "stats") and not hasattr(zone, "columns")
+        assert zone.disjoint(("x0",), [200.0], [300.0])
+        assert not zone.disjoint(("x0", "nope"), [0.0, 0.0], [100.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -589,20 +603,32 @@ class ViewMaintenanceMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.store, self.pipeline = ingest_store(
-            n_nodes=2, table=make_table(90)
-        )
+        table = make_table(90)
+        # Clustered on x0, so every base image starts out sorted on it.
+        table = table.take(np.argsort(table.column("x0"), kind="stable"))
+        self.store, self.pipeline = ingest_store(n_nodes=2, table=table)
         self.partitions = self.store.table("data").partitions
         self.held = {}  # id(table) -> (table, its bytes when handed out)
         self.seed = 0
+        self.top = float(table.column("x0").max())
 
     def hold(self, table):
         self.held.setdefault(id(table), (table, bits(table)))
 
     @rule(n=st.integers(1, 40))
     def append(self, n):
+        """Rows in no order: a late row unsorts every view grown from here."""
         self.seed += 1
         self.store.append_rows("data", make_batch(n, self.seed))
+
+    @rule(n=st.integers(1, 40))
+    def append_in_arrival_order(self, n):
+        """x0 keeps rising, so views sorted on it stay sorted."""
+        self.seed += 1
+        batch = make_batch(n, self.seed)
+        x0 = self.top + np.cumsum(batch.column("x0"))
+        self.top = max(self.top, float(x0[-1]))
+        self.store.append_rows("data", batch.with_column("x0", x0))
 
     @rule(where=st.sampled_from(["base", "memtable", "both"]), k=st.integers(1, 4))
     def delete(self, where, k):
@@ -654,6 +680,14 @@ class ViewMaintenanceMachine(RuleBasedStateMachine):
             self.hold(checkpoint.data)
         for table, was in self.held.values():
             assert bits(table) == was
+
+    @invariant()
+    def handed_out_tables_know_whether_they_are_sorted(self):
+        """Inherited through appended / select / adoption or asked afresh,
+        the answer is the brute-force one."""
+        for table, _ in self.held.values():
+            for name in table.column_names:
+                assert table.is_sorted(name) == brute_sorted(table.column(name))
 
 
 ViewMaintenanceMachine.TestCase.settings = settings(
@@ -771,6 +805,190 @@ class TestViewMaintenance:
         assert seen and all(seen)
         assert [float(col.sum()) for col in columns] == want
         assert partition.read_view().n_rows == held.n_rows + 1000
+
+
+# ---------------------------------------------------------------------------
+# Delta zone maps: kept while the memtable only grows, rebuilt when rows leave
+# ---------------------------------------------------------------------------
+ZONE_VALUES = [-np.inf, -3.0, -0.0, 0.0, 2.5, 7.0, np.inf, np.nan]
+
+
+class DeltaZoneMachine(RuleBasedStateMachine):
+    """One ``DeltaPartition`` under every mutation it has.
+
+    Only the *watched* columns are asked about after a step, so the
+    others fall behind and are caught up later over several appends.
+    """
+
+    COLUMNS = ("a", "b", "c")
+
+    def __init__(self):
+        super().__init__()
+        self.delta = DeltaPartition(6)
+        self.lsn = 0
+        self.watched = ("a",)
+
+    def stamp(self):
+        self.lsn += 1
+        return self.lsn
+
+    @rule(
+        rows=st.lists(
+            st.tuples(*[st.sampled_from(ZONE_VALUES)] * 3), min_size=1, max_size=5
+        )
+    )
+    def append(self, rows):
+        columns = np.asarray(rows, dtype=float).T
+        piece = Table(dict(zip(self.COLUMNS, columns)), name="z")
+        self.delta.append(piece, self.stamp())
+
+    def _delete(self, positions):
+        mask = np.zeros(self.delta.live_base_rows + self.delta.n_rows, dtype=bool)
+        mask[positions] = True
+        self.delta.delete(mask, self.stamp())
+
+    @rule(k=st.integers(0, 5))
+    def delete_hitting_base_only(self, k):
+        if self.delta.live_base_rows:
+            self._delete([k % self.delta.live_base_rows])
+
+    @rule(k=st.integers(0, 40), base_too=st.booleans())
+    def delete_hitting_the_memtable(self, k, base_too):
+        if self.delta.n_rows:
+            live = self.delta.live_base_rows
+            hit = [live + k % self.delta.n_rows]
+            self._delete(hit + [0] if base_too and live else hit)
+
+    @rule()
+    def clear(self):
+        self.delta.clear()
+
+    @rule(n=st.integers(0, 9))
+    def rebase(self, n):
+        self.delta.rebase(n)
+
+    @rule(columns=st.lists(st.sampled_from(COLUMNS), unique=True, max_size=3))
+    def watch(self, columns):
+        self.watched = tuple(columns)
+
+    @invariant()
+    def zone_is_the_fresh_min_max_and_disjoint_is_a_proof(self):
+        rows = self.delta.rows
+        zone = self.delta.synopsis()
+        if rows is None:
+            assert zone is None
+            return
+        assert zone is self.delta.synopsis() and zone.n_rows == rows.n_rows
+        for name in self.watched:
+            col = rows.column(name)
+            assert np.array_equal(
+                zone.zone(name), (col.min(), col.max()), equal_nan=True
+            )
+        if not self.watched:
+            return
+        # Every row sits in the box drawn tightly around itself...
+        matrix = rows.matrix(self.watched)
+        for row in matrix[~np.isnan(matrix).any(axis=1)]:
+            assert not zone.disjoint(self.watched, row, row)
+        # ...and any box gets the verdict fresh minima and maxima give
+        # (PartitionSynopsis.disjoint's test, without the sums it would
+        # also compute — inf + -inf warns).
+        for lo in ZONE_VALUES:
+            for hi in (lo, 7.0, np.inf):
+                want = any(
+                    rows.column(c).max() < lo or rows.column(c).min() > hi
+                    for c in self.watched
+                )
+                bounds = [lo] * len(self.watched), [hi] * len(self.watched)
+                assert zone.disjoint(self.watched, *bounds) == want
+
+
+DeltaZoneMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=30, deadline=None
+)
+TestDeltaZoneMachine = DeltaZoneMachine.TestCase
+
+
+class TestFreshReadCost:
+    """What planning and counting a dirty partition may compute."""
+
+    def test_a_tail_read_folds_only_the_appended_rows(self, monkeypatch):
+        from repro.baselines.exact import ExactEngine
+        from repro.cluster.synopsis import PartitionSynopsis
+        from repro.engine.pruning import SCAN, SKIP
+        from repro.ingest import delta as delta_module
+
+        store, pipeline = ingest_store(table=arrivals(0.0, 4_000, 1))
+        engine = ExactEngine(store)
+        n_parts = len(store.table("data").partitions)
+
+        def tail(last):
+            return AnalyticsQuery(
+                "data",
+                RangeSelection(
+                    ("ts", "x0"), (last - 8.0 * n_parts, 10.0), (last, 90.0)
+                ),
+                Count(),
+            )
+
+        folded = []
+        real = delta_module._extend_zone
+
+        def counting(zone, col):
+            folded.append(col.shape[0])
+            return real(zone, col)
+
+        def forbidden(cls, table):
+            raise AssertionError("full statistics built while planning a read")
+
+        monkeypatch.setattr(delta_module, "_extend_zone", counting)
+        store.append_rows("data", arrivals(4_000.0, 8 * n_parts, 2))
+        monkeypatch.setattr(
+            PartitionSynopsis, "from_table", classmethod(forbidden)
+        )
+        plan = engine.plan_for(tail(4_000.0 + 8 * n_parts - 1))
+        # Every base but the last lies below the tail: only its eight
+        # fresh rows keep such a partition in the plan, found by one
+        # min/max over them for each column the selection names.
+        assert plan.actions.count(SCAN) == n_parts
+        assert folded == [8, 8] * (n_parts - 1)
+        del folded[:]
+        engine.plan_for(tail(4_000.0 + 8 * n_parts - 1))
+        assert folded == []  # a second read computes no statistic at all
+        store.append_rows("data", arrivals(5_000.0, 3 * n_parts, 3))
+        beyond = AnalyticsQuery(
+            "data", RangeSelection(("ts", "x0"), (6e3, 0.0), (7e3, 100.0)), Count()
+        )
+        assert engine.plan_for(beyond).actions.count(SKIP) == n_parts
+        # ...and the next one only the rows appended since (the last
+        # partition's memtable is asked for the first time; ts proves
+        # every memtable disjoint, so x0 is not looked at).
+        assert folded == [3] * (n_parts - 1) + [11]
+        monkeypatch.undo()
+        value, _ = engine.execute(tail(5_000.0 + 3 * n_parts - 1))
+        assert value == engine.ground_truth(tail(5_000.0 + 3 * n_parts - 1))
+
+    def test_counting_a_dirty_partition_does_not_build_its_view(self):
+        store, pipeline = ingest_store(table=make_table(400))
+        partitions = store.table("data").partitions
+        rng = np.random.default_rng(5)
+        for step in range(12):
+            if step % 3 == 2:
+                cut = float(rng.uniform(20.0, 80.0))
+                store.delete_rows(
+                    "data", lambda t, cut=cut: np.abs(t.column("x0") - cut) < 2.0
+                )
+            else:
+                store.append_rows("data", make_batch(int(rng.integers(1, 30)), step))
+            if step % 4 == 3:
+                pipeline.flush()
+            for partition in partitions:
+                was = partition._view
+                counted = (partition.n_rows, partition.n_bytes, partition.row_bytes)
+                assert partition._view is was  # asking built nothing
+                view = partition.read_view()
+                assert counted == (view.n_rows, view.n_bytes, view.row_bytes)
+        assert store.table("data").n_rows == store.table("data").full_table().n_rows
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,138 @@ class TestAppended:
         assert table.slice_rows(7, 99).n_rows == 3
 
 
+def brute_sorted(col):
+    """Non-decreasing and NaN-free, one python comparison at a time."""
+    values = col.tolist()
+    return all(v == v for v in values) and all(
+        a <= b for a, b in zip(values, values[1:])
+    )
+
+
+#: Few distinct values, so sorted runs, ties and signed zeros are common.
+ORDER_VALUES = [-np.inf, -1.0, -0.0, 0.0, 1.0, 2.0, 2.0, np.inf]
+
+
+def order_table(values):
+    col = np.asarray(values, dtype=float)
+    return Table({"k": col, "r": col[::-1].copy()}, name="o")
+
+
+order_pieces = st.one_of(
+    # mostly sorted pieces, so chains stay sorted long enough to matter
+    st.lists(st.sampled_from(ORDER_VALUES), max_size=6).map(sorted),
+    st.lists(st.sampled_from(ORDER_VALUES + [np.nan]), max_size=6),
+)
+
+
+class TestIsSorted:
+    def test_definition(self):
+        assert order_table([]).is_sorted("k")
+        assert order_table([3.0]).is_sorted("k")
+        assert not order_table([np.nan]).is_sorted("k")
+        assert order_table([-0.0, 0.0, -0.0, 1.0, 1.0, np.inf]).is_sorted("k")
+        assert not order_table([0.0, 1.0, np.nan]).is_sorted("k")
+        assert not order_table([0.0, 2.0, 1.0]).is_sorted("k")
+        assert Table({"i": np.array([1, 1, 2])}).is_sorted("i")
+        with pytest.raises(QueryError):
+            order_table([1.0]).is_sorted("missing")
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 30),  # which earlier table (tail or not)
+                st.sampled_from(
+                    ["appended", "range", "slice", "select", "concat"]
+                ),
+                order_pieces,
+                st.booleans(),  # ask the parent first, so the child inherits
+                st.integers(0, 8),
+                st.integers(0, 8),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_brute_force_after_any_chain(self, steps):
+        pool = [order_table([0.0, 1.0])]
+        for parent, op, values, ask, a, b in steps:
+            table = pool[parent % len(pool)]
+            if ask:
+                table.is_sorted("k")
+            piece = order_table(values)
+            lo, hi = min(a, b), max(a, b)
+            if op == "appended":
+                out = table.appended(piece)
+            elif op == "range":
+                stop = min(hi, piece.n_rows)
+                out = table.appended(piece, min(lo, stop), stop)
+            elif op == "slice":
+                out = table.slice_rows(lo, hi)
+            elif op == "select":
+                out = table.select(np.arange(table.n_rows) % (a + 2) != 0)
+            else:
+                out = Table.concat([table, piece])
+            pool.append(out)
+            for held in pool:  # earlier answers must not have been disturbed
+                for c in ("k", "r"):
+                    assert held.is_sorted(c) == brute_sorted(held[c])
+
+    def test_ranged_append_equals_appending_the_slice(self):
+        parent = payload_table(9, 0).appended(payload_table(2, 1))
+        piece = payload_table(12, 2)
+        assert bits(parent.appended(piece, 3, 7)) == bits(
+            Table.concat([parent, piece.slice_rows(3, 7)])
+        )
+        assert bits(parent.appended(piece, 5)) == bits(
+            Table.concat([parent, piece.slice_rows(5, 12)])
+        )
+        for start, stop in [(-1, 3), (4, 3), (0, 13)]:
+            with pytest.raises(ConfigurationError):
+                parent.appended(piece, start, stop)
+
+    def test_a_chain_of_appends_never_rescans_the_parent(self, monkeypatch):
+        from repro.data import tabular
+
+        scanned = []
+        real = tabular._nondecreasing
+
+        def counting(col):
+            scanned.append(col.shape[0])
+            return real(col)
+
+        monkeypatch.setattr(tabular, "_nondecreasing", counting)
+        table = order_table(np.arange(10_000.0))
+        assert table.is_sorted("k") and scanned == [10_000]
+        for step in range(50):
+            first = 10_000.0 + 4 * step
+            table = table.appended(order_table(first + np.arange(4.0)))
+        assert table.is_sorted("k") and table.select(
+            np.ones(table.n_rows, dtype=bool)
+        ).is_sorted("k")
+        # One look per append, at the old last row and the four new ones.
+        assert scanned[1:] == [5] * 50
+        late = table.appended(order_table([7.0]))
+        assert not late.is_sorted("k") and table.is_sorted("k")
+        del scanned[:]
+        # Unsorted stays unsorted without looking; "r" was never asked.
+        assert not late.appended(order_table([1e9])).is_sorted("k")
+        assert scanned == []
+
+    def test_layout_agreement_is_per_source_buffer(self):
+        ints = Table({"x": np.arange(4)}, name="t")
+        source = ints.appended(ints)  # a buffered piece source
+        grown = ints.appended(source).appended(source)  # agreed with it
+        floats = Table({"x": np.array([0.5])}).appended(
+            Table({"x": np.array([1.5])})
+        )
+        out = grown.appended(floats)
+        want = Table.concat([grown, floats])
+        assert out["x"].dtype == np.float64 and bits(out) == bits(want)
+        with pytest.raises(ConfigurationError):
+            grown.appended(Table({"y": np.arange(2)}).appended(Table({"y": [1]})))
+
+
 class TestCsvIO:
     def test_roundtrip(self, tmp_path):
         t = sample_table(25)
