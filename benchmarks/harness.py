@@ -22,10 +22,8 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 BENCH_SERVING_PATH = os.path.join(REPO_ROOT, "BENCH_serving.json")
 BENCH_PRUNING_PATH = os.path.join(REPO_ROOT, "BENCH_pruning.json")
 BENCH_FAULTS_PATH = os.path.join(REPO_ROOT, "BENCH_faults.json")
-BENCH_PARALLEL_PATH = os.path.join(REPO_ROOT, "BENCH_parallel.json")
 BENCH_OBS_PATH = os.path.join(REPO_ROOT, "BENCH_obs.json")
 BENCH_COLUMNAR_PATH = os.path.join(REPO_ROOT, "BENCH_columnar.json")
-BENCH_PROCPOOL_PATH = os.path.join(REPO_ROOT, "BENCH_procpool.json")
 BENCH_INGEST_PATH = os.path.join(REPO_ROOT, "BENCH_ingest.json")
 BENCH_SERVING_GATEWAY_PATH = os.path.join(
     REPO_ROOT, "BENCH_serving_gateway.json"
@@ -63,9 +61,9 @@ def record_cumulative_benchmark(path: str, experiment: str, **fields: Any) -> st
     entry: Dict[str, Any] = {
         "experiment": experiment,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        # Speedup-style metrics only compare like with like when the
+        # Wall-clock metrics only compare like with like when the
         # recording host's core count rides along (regress.py groups
-        # parallel trajectories by it).
+        # the ingest and gateway trajectories by it).
         "host_cpus": os.cpu_count() or 1,
     }
     entry.update({key: _plain(value) for key, value in fields.items()})
@@ -91,11 +89,6 @@ def record_faults_benchmark(experiment: str, **fields: Any) -> str:
     return record_cumulative_benchmark(BENCH_FAULTS_PATH, experiment, **fields)
 
 
-def record_parallel_benchmark(experiment: str, **fields: Any) -> str:
-    """Append one parallel-executor measurement to ``BENCH_parallel.json``."""
-    return record_cumulative_benchmark(BENCH_PARALLEL_PATH, experiment, **fields)
-
-
 def record_obs_benchmark(experiment: str, **fields: Any) -> str:
     """Append one observability-overhead measurement to ``BENCH_obs.json``."""
     return record_cumulative_benchmark(BENCH_OBS_PATH, experiment, **fields)
@@ -104,11 +97,6 @@ def record_obs_benchmark(experiment: str, **fields: Any) -> str:
 def record_columnar_benchmark(experiment: str, **fields: Any) -> str:
     """Append one columnar-layout measurement to ``BENCH_columnar.json``."""
     return record_cumulative_benchmark(BENCH_COLUMNAR_PATH, experiment, **fields)
-
-
-def record_procpool_benchmark(experiment: str, **fields: Any) -> str:
-    """Append one process-executor measurement to ``BENCH_procpool.json``."""
-    return record_cumulative_benchmark(BENCH_PROCPOOL_PATH, experiment, **fields)
 
 
 def record_ingest_benchmark(experiment: str, **fields: Any) -> str:

@@ -133,69 +133,6 @@ def _faults_group(entry: Dict[str, Any]) -> Tuple:
     )
 
 
-def _parallel_headlines(entry: Dict[str, Any]) -> List[Headline]:
-    for row in entry.get("sweep") or []:
-        if isinstance(row, dict) and row.get("workers") == 1:
-            value = row.get("wall_sec_median")
-            if isinstance(value, (int, float)):
-                iqr = row.get("wall_sec_iqr")
-                return [
-                    (
-                        "serial_wall_sec_median",
-                        float(value),
-                        "lower",
-                        float(iqr) if isinstance(iqr, (int, float)) else 0.0,
-                    )
-                ]
-    return []
-
-
-def _parallel_group(entry: Dict[str, Any]) -> Tuple:
-    # Keyed by executor flavour and recording host's core count: a
-    # thread-pool run on a 1-CPU CI box and a process-pool run on a
-    # 16-core workstation are different trajectories, not a regression.
-    return (
-        entry.get("experiment"),
-        entry.get("n_rows"),
-        entry.get("partitions"),
-        entry.get("executor", "thread"),
-        entry.get("host_cpus"),
-    )
-
-
-def _procpool_headlines(entry: Dict[str, Any]) -> List[Headline]:
-    out: List[Headline] = []
-    for row in entry.get("sweep") or []:
-        if not isinstance(row, dict):
-            continue
-        value = row.get("wall_sec_median")
-        if not isinstance(value, (int, float)):
-            continue
-        iqr = row.get("wall_sec_iqr")
-        label = f"{row.get('executor', 'thread')}_w{row.get('workers')}_wall_sec"
-        out.append(
-            (
-                label,
-                float(value),
-                "lower",
-                float(iqr) if isinstance(iqr, (int, float)) else 0.0,
-            )
-        )
-    publish = entry.get("publish_mb_per_sec")
-    if isinstance(publish, (int, float)):
-        out.append(("publish_mb_per_sec", float(publish), "higher", 0.0))
-    return out
-
-
-def _procpool_group(entry: Dict[str, Any]) -> Tuple:
-    return (
-        entry.get("experiment"),
-        entry.get("n_rows"),
-        entry.get("partitions"),
-        entry.get("host_cpus"),
-    )
-
-
 def _obs_headlines(entry: Dict[str, Any]) -> List[Headline]:
     value = entry.get("detached_qps")
     if not isinstance(value, (int, float)):
@@ -336,10 +273,8 @@ REGISTRY = {
     "BENCH_serving.json": (_serving_group, _serving_headlines),
     "BENCH_pruning.json": (_pruning_group, _pruning_headlines),
     "BENCH_faults.json": (_faults_group, _faults_headlines),
-    "BENCH_parallel.json": (_parallel_group, _parallel_headlines),
     "BENCH_obs.json": (_obs_group, _obs_headlines),
     "BENCH_columnar.json": (_columnar_group, _columnar_headlines),
-    "BENCH_procpool.json": (_procpool_group, _procpool_headlines),
     "BENCH_ingest.json": (_ingest_group, _ingest_headlines),
     "BENCH_serving_gateway.json": (_gateway_group, _gateway_headlines),
 }

@@ -116,7 +116,6 @@ from repro.faults import (
 from repro.common.errors import RecoveryError, WriteCrashError, WriteError
 from repro.geo import GeoSites, EdgeAgent, CoreCoordinator, GeoRouter
 from repro.ingest import IngestConfig, IngestPipeline, RecoveryReport
-from repro.parallel import Morsel, ScanExecutor
 from repro.obs import (
     AccuracyDriftMonitor,
     EventLog,
@@ -225,8 +224,6 @@ __all__ = [
     "EdgeAgent",
     "CoreCoordinator",
     "GeoRouter",
-    "Morsel",
-    "ScanExecutor",
     "AccuracyDriftMonitor",
     "EventLog",
     "FlightRecorder",

@@ -31,7 +31,6 @@ from repro.cluster.storage import DistributedStore
 from repro.engine.coordinator import CoordinatorEngine
 from repro.engine.specs import GridAssignSpec
 from repro.faults.degraded import UnknownChunk, build_degraded_answer
-from repro.parallel import partition_morsels
 from repro.queries.query import AnalyticsQuery, Answer
 from repro.queries.selections import RangeSelection
 
@@ -49,7 +48,6 @@ class SegmentStatsCache:
         grid_columns: Sequence[str],
         cells_per_dim: int = 32,
         failure_mode: str = "fail",
-        executor=None,
     ) -> None:
         require(cells_per_dim >= 2, "cells_per_dim must be >= 2")
         require(
@@ -61,8 +59,7 @@ class SegmentStatsCache:
         self.failure_mode = failure_mode
         self.grid_columns = tuple(grid_columns)
         self.cells_per_dim = cells_per_dim
-        self.executor = executor
-        self.coordinator = CoordinatorEngine(store, executor=executor)
+        self.coordinator = CoordinatorEngine(store)
         stored = store.table(table_name)
         full = stored.full_table()
         mats = full.matrix(self.grid_columns)
@@ -200,19 +197,6 @@ class SegmentStatsCache:
         assign = GridAssignSpec(
             self.grid_columns, self._lows, self._span, self.cells_per_dim
         )
-        precomputed_cells = None
-        if self.executor is not None and self.executor.parallel:
-            # Cell assignment is pure compute over immutable partition
-            # data; fan it out and leave reads/charges to the loop below.
-            # The spec doubles as the map function so thread and process
-            # executors run the exact same code object.
-            morsels = partition_morsels(stored.partitions, spec=assign)
-            precomputed_cells = self.executor.run(
-                morsels,
-                assign,
-                label="canopy_directory",
-                observer=self.coordinator.observer,
-            )
         for part_idx, partition in enumerate(stored.partitions):
             if faulty:
                 data, node, extra = self.coordinator.failover.read_partition(
@@ -231,12 +215,9 @@ class SegmentStatsCache:
             else:
                 data = self.store.read_partition(partition, meter)
                 meter.advance(data.n_bytes / meter.rates.disk_bytes_per_sec)
-            cells = (
-                precomputed_cells[part_idx]
-                if precomputed_cells is not None
-                else assign(data)
+            keys, segments, _ = group_rows_by_cell(
+                assign(data), self.cells_per_dim
             )
-            keys, segments, _ = group_rows_by_cell(cells, self.cells_per_dim)
             for key, run in zip(keys, segments):
                 self._rows.setdefault(key, []).append((part_idx, run))
         self._directory_built = True

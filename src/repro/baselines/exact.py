@@ -57,7 +57,6 @@ class ExactEngine:
         pruning: bool = True,
         failure_mode: str = "fail",
         failover: Optional[FailoverPolicy] = None,
-        executor=None,
     ) -> None:
         require(
             failure_mode in ("fail", "degrade"),
@@ -73,12 +72,11 @@ class ExactEngine:
             rates=rates,
             observer=observer,
             failover=failover,
-            executor=executor,
         )
 
     @property
     def executor(self):
-        """The morsel pool shared with the underlying MapReduce engine."""
+        """The object whose ``run`` makes ``execute_many``'s shared pass."""
         return self._engine.executor
 
     @property

@@ -55,11 +55,8 @@ class TablePartition:
     replica_nodes: List[str]
     columnar: Optional[ColumnarPartition] = None
     #: Bumped on every *base-image* swap (synchronous append/delete, or
-    #: compaction when durable ingest is on); the shared-memory partition
-    #: store keys its published segments on it so only mutated partitions
-    #: are republished to process-pool workers.  Staged delta writes do
-    #: NOT bump it — that is what keeps republish traffic bounded by the
-    #: compaction cadence instead of the write rate.
+    #: compaction when durable ingest is on), never by a staged delta
+    #: write; ingest checkpoints record it beside the base image.
     generation: int = 0
     #: Pending writes while durable ingest is enabled (a
     #: :class:`~repro.ingest.delta.DeltaPartition`); None otherwise.

@@ -138,11 +138,12 @@ class CostMeter:
     the hot path to a single identity check — no allocations per charge.
 
     The meter is thread-safe: every charge mutates the report under one
-    lock, so concurrent charging (e.g. a shared meter touched from
-    worker threads) never loses or tears an update.  Note that while the
-    *totals* are safe under concurrency, float ``node_sec``/``elapsed_sec``
-    sums are only bit-reproducible when the charge order is — which is why
-    :mod:`repro.parallel` keeps all charging on one thread.
+    lock, so concurrent charging (the gateway's serve loop and its
+    serving thread can share a meter) never loses or tears an update.
+    Note that while the *totals* are safe under concurrency, float
+    ``node_sec``/``elapsed_sec`` sums are only bit-reproducible when the
+    charge order is — which is why the engines replay every charge in
+    partition order on the calling thread.
     """
 
     def __init__(

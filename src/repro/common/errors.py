@@ -113,24 +113,6 @@ class RecoveryError(FaultError):
     """
 
 
-class WorkerCrashError(ReproError):
-    """A process-pool scan worker died mid-batch.
-
-    Recorded (not raised) by the process executor: the batch is
-    recomputed inline on the caller, so answers are unaffected; the
-    typed error preserves what happened for tests and diagnostics.
-    """
-
-    def __init__(self, label: str = "", detail: str = "") -> None:
-        self.label = label
-        self.detail = detail
-        extra = f": {detail}" if detail else ""
-        super().__init__(
-            f"process-pool worker crashed during batch {label!r}{extra}; "
-            "batch recomputed serially on the caller"
-        )
-
-
 class AdmissionRejectedError(ReproError):
     """The serving gateway refused to admit (or shed) a request.
 

@@ -26,7 +26,6 @@ from repro.engine.pruning import prune_row_plan
 from repro.engine.specs import RowTakeSpec
 from repro.faults.policy import FailoverPolicy
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.parallel import Morsel, ScanExecutor
 from repro.queries.selections import Selection
 
 _REQUEST_BYTES = 256
@@ -43,7 +42,6 @@ class CoordinatorEngine:
         rates: Optional["CostRates"] = None,
         observer: Optional[Observer] = None,
         failover: Optional[FailoverPolicy] = None,
-        executor: Optional[ScanExecutor] = None,
     ) -> None:
         self.store = store
         self.topology = store.topology
@@ -53,9 +51,6 @@ class CoordinatorEngine:
         self.rates = rates
         self.observer = observer or NULL_OBSERVER
         self.failover = failover or FailoverPolicy()
-        # Morsel pool for the row materialisation (``take``) work; all
-        # charging and replica choice stays on this thread — see DESIGN §9.
-        self.executor = executor
 
     def attach_observer(self, observer: Observer) -> None:
         """Record traces/metrics/events for subsequent fetches on ``observer``."""
@@ -141,19 +136,12 @@ class CoordinatorEngine:
         require(on_lost in ("raise", "skip"), f"unknown on_lost {on_lost!r}")
         meter, obs = self._meter(meter)
         rows_by_partition = self._pruned(stored, rows_by_partition, selection, obs)
-        cache = None
-        if self.executor is not None and self.executor.parallel:
-            # Materialise each partition's rows on the pool up front; the
-            # serial loop below then only replays charges and slices the
-            # precomputed pieces (identical values to per-partition takes).
-            cache = self._parallel_pieces(stored, [rows_by_partition], obs)
         return self._fetch_one(
             stored,
             rows_by_partition,
             meter,
             obs,
             charge_stack,
-            cache=cache or None,
             on_lost=on_lost,
             lost=lost,
         )
@@ -197,7 +185,7 @@ class CoordinatorEngine:
                 self.fetch_rows(stored, plan, charge_stack=charge_stack)
                 for plan in plans
             ]
-        cache = self._parallel_pieces(stored, plans, self.observer)
+        cache = self._shared_pieces(stored, plans)
         out: List[Tuple[Table, CostReport]] = []
         for plan in plans:
             meter, obs = self._meter(None)
@@ -206,20 +194,17 @@ class CoordinatorEngine:
             )
         return out
 
-    def _parallel_pieces(
+    def _shared_pieces(
         self,
         stored: StoredTable,
         plans: Sequence[Dict[int, Sequence[int]]],
-        obs: Observer,
     ) -> Dict[int, Tuple[np.ndarray, Table]]:
         """Materialise each partition's union of requested rows.
 
         Returns the ``{partition_index: (sorted unique indices, rows)}``
         cache :meth:`_fetch_one` slices per plan.  The ``take`` calls are
-        pure compute over immutable partition data, so they fan out
-        across the morsel pool when one is attached (weighted by the
-        bytes each partition must materialise); without an executor the
-        same code runs inline.
+        pure compute, one per partition in index order; every charge is
+        replayed per plan afterwards.
         """
         union: Dict[int, List[np.ndarray]] = {}
         for plan in plans:
@@ -227,47 +212,12 @@ class CoordinatorEngine:
                 idx = np.asarray(rows, dtype=int)
                 if idx.size:
                     union.setdefault(part_index, []).append(idx)
-        if not union:
-            return {}
-        morsels: List[Morsel] = []
-        for part_index in sorted(union):
-            partition = self._partition(stored, part_index)
-            chunks = union[part_index]
-            rows_requested = sum(int(c.size) for c in chunks)
-            # The union/take kernel lives in RowTakeSpec — one picklable
-            # code object shared by the inline, thread, and process
-            # paths; TablePartition.take gathers straight from the
-            # encoded columns on columnar layouts, from the row store
-            # otherwise (mirrored by the worker-side partition wrapper).
-            spec = RowTakeSpec(tuple(chunks))
-            morsels.append(
-                Morsel(
-                    index=part_index,
-                    payload=(spec, partition),
-                    size_bytes=rows_requested * int(partition.row_bytes),
-                    spec=spec,
-                    # A dirty partition's take() gathers from the
-                    # base+delta view, which shared memory does not
-                    # cover — keep its morsel inline.
-                    partition=(
-                        None
-                        if getattr(partition, "dirty", False)
-                        else partition
-                    ),
-                )
+        return {
+            part_index: RowTakeSpec(tuple(union[part_index]))(
+                self._partition(stored, part_index)
             )
-
-        def materialise(payload):
-            spec, partition = payload
-            return spec(partition)
-
-        if self.executor is not None:
-            results = self.executor.run(
-                morsels, materialise, label="fetch", observer=obs
-            )
-        else:
-            results = [materialise(m.payload) for m in morsels]
-        return {m.index: r for m, r in zip(morsels, results)}
+            for part_index in sorted(union)
+        }
 
     def _fetch_one(
         self,
@@ -311,7 +261,6 @@ class CoordinatorEngine:
                             meter,
                             requester=self.coordinator,
                             obs=obs,
-                            materialize=cache is None,
                         )
                     except PartitionLostError:
                         if on_lost == "skip":
@@ -326,9 +275,6 @@ class CoordinatorEngine:
                         wan=self.topology.is_wan(self.coordinator, cohort),
                     )
                     seconds += fault_extra
-                    if cache is not None or piece is None:
-                        all_idx, union_table = cache[part_index]
-                        piece = union_table.take(np.searchsorted(all_idx, idx))
                     seconds += (
                         idx.size
                         * partition.row_bytes

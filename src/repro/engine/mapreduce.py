@@ -38,8 +38,6 @@ from repro.engine.pruning import SCAN, SKIP, SYNOPSIS, ScanPlan
 from repro.engine.resources import ResourceManager
 from repro.faults.policy import FailoverPolicy
 from repro.obs.observer import NULL_OBSERVER, Observer
-from repro.parallel import Morsel, ScanExecutor, partition_morsels
-from repro.parallel.spec import BoundSpec, TaskSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.colscan import ColumnScan
@@ -76,6 +74,21 @@ def estimate_payload_bytes(value: Any) -> int:
     return 8  # scalar
 
 
+class ScanExecutor:
+    """Where a shared pass calls its kernel: here, one partition after another.
+
+    The kernels are pure compute; every charge is replayed afterwards in
+    partition order (DESIGN, "Why scans run inline").  This is an object
+    rather than a loop because the end-to-end benchmark's tracer shadows
+    ``run`` on the live ``session.executor`` to time the pass and count
+    the partitions it read.
+    """
+
+    def run(self, payloads: List[Any], fn: Callable[[Any], Any]) -> List[Any]:
+        """``fn`` of every payload, on the calling thread, in input order."""
+        return [fn(payload) for payload in payloads]
+
+
 class MapReduceEngine:
     """Hadoop/Spark-style engine: full fan-out map, shuffle, reduce."""
 
@@ -87,7 +100,6 @@ class MapReduceEngine:
         rates: Optional["CostRates"] = None,
         observer: Optional[Observer] = None,
         failover: Optional[FailoverPolicy] = None,
-        executor: Optional[ScanExecutor] = None,
     ) -> None:
         self.store = store
         self.topology = store.topology
@@ -96,12 +108,7 @@ class MapReduceEngine:
         self.rates = rates
         self.observer = observer or NULL_OBSERVER
         self.failover = failover or FailoverPolicy()
-        # Morsel pool for the real per-partition compute (map functions,
-        # shared batch passes).  All *charging* stays on this thread in
-        # partition order, so results and costs are byte-identical to the
-        # serial path at any worker count.  None (or workers=1) keeps the
-        # historical inline loops.
-        self.executor = executor
+        self.executor = ScanExecutor()
 
     def attach_observer(self, observer: Observer) -> None:
         """Record traces/metrics/events for subsequent jobs on ``observer``."""
@@ -112,8 +119,8 @@ class MapReduceEngine:
         """One engine phase: a trace span plus a flight-recorder note.
 
         The note carries the phase's *simulated* elapsed seconds (a
-        meter delta), never host seconds, so profiles stay byte-identical
-        at any morsel-pool worker count.
+        meter delta), never host seconds, so profiles repeat byte for
+        byte from run to run.
         """
         before = meter.elapsed_sec
         with obs.span(name, meter=meter, category="phase"):
@@ -193,9 +200,6 @@ class MapReduceEngine:
                     map_fn,
                     meter,
                     obs,
-                    precomputed=self._parallel_map_outputs(
-                        stored, map_fn, plan, obs, scan=scan
-                    ),
                     plan=plan,
                     driver=driver,
                     on_lost=on_lost,
@@ -315,16 +319,13 @@ class MapReduceEngine:
         # interleave charges per job in sequential order.  Outputs are
         # indexed by partition position; entries a job never scans stay
         # None (its plan covers them from the synopsis or skips them).
-        # The per-partition passes are pure compute over immutable data,
-        # so they fan out across the morsel pool when one is attached;
-        # planning (the ``active`` lists) and the scatter stay serial.
         obs = self.observer
         n_parts = len(stored.partitions)
         outputs_per_job: List[List[Optional[List[Tuple[Any, Any]]]]] = [
             [None] * n_parts for _ in range(n_jobs)
         ]
         actives: Dict[int, List[int]] = {}
-        morsels: List[Morsel] = []
+        payloads: List[Tuple[Any, Optional[List[int]]]] = []
         # The all-jobs column union recurs for every fully active
         # partition (the common case — unclustered data defeats the zone
         # maps job by job together); compute it once, not per partition.
@@ -349,16 +350,13 @@ class MapReduceEngine:
             actives[index] = active
             # Column pruning for the shared pass: read the union of the
             # active jobs' scan columns iff every active job pushed one
-            # down (a row-path job needs the full Table payload).
-            # Dirty partitions (staged delta writes) carry the base+delta
-            # view and never ship spec/partition: shared-memory segments
-            # hold published base generations only.
-            dirty = bool(getattr(partition, "dirty", False))
-            shipped_columns = None
+            # down (a row-path job needs the full Table payload).  A
+            # dirty partition (staged delta writes) is read through its
+            # base+delta view: the encoded columns hold the base only.
             if (
                 scans is not None
                 and partition.columnar is not None
-                and not dirty
+                and not partition.dirty
                 and all(scans[j] is not None for j in active)
             ):
                 if full_union is not None and len(active) == n_jobs:
@@ -368,33 +366,10 @@ class MapReduceEngine:
                     for j in active:
                         union.update(dict.fromkeys(scans[j].columns))
                     columns = tuple(union)
-                payload_data = partition.columnar.project(columns)
-                size = payload_data.encoded_bytes
-                shipped_columns = columns
+                data = partition.columnar.project(columns)
             else:
-                payload_data = partition.read_view()
-                size = int(partition.n_bytes)
-            payload_active = active if plans is not None else None
-            # Ship a picklable spec alongside the in-memory payload so a
-            # process executor can run this morsel out-of-process; the
-            # thread/serial paths keep using ``payload`` directly.
-            spec = None
-            if isinstance(multi_map_fn, TaskSpec) and not dirty:
-                spec = (
-                    multi_map_fn
-                    if payload_active is None
-                    else BoundSpec(multi_map_fn, (payload_active,))
-                )
-            morsels.append(
-                Morsel(
-                    index=index,
-                    payload=(payload_data, payload_active),
-                    size_bytes=size,
-                    spec=spec,
-                    partition=None if dirty else partition,
-                    columns=shipped_columns,
-                )
-            )
+                data = partition.read_view()
+            payloads.append((data, active if plans is not None else None))
 
         def shared_pass(payload):
             data, active = payload
@@ -402,21 +377,15 @@ class MapReduceEngine:
                 return multi_map_fn(data)
             return multi_map_fn(data, active)
 
-        if self.executor is not None:
-            per_part = self.executor.run(
-                morsels, shared_pass, label="map_many", observer=obs
-            )
-        else:
-            per_part = [shared_pass(m.payload) for m in morsels]
-        for morsel, per_job in zip(morsels, per_part):
-            active = actives[morsel.index]
+        per_part = self.executor.run(payloads, shared_pass)
+        for (index, active), per_job in zip(actives.items(), per_part):
             require(
                 len(per_job) == len(active),
                 f"multi_map_fn returned {len(per_job)} outputs "
                 f"for {len(active)} active jobs",
             )
             for j, pairs in zip(active, per_job):
-                outputs_per_job[j][morsel.index] = list(pairs)
+                outputs_per_job[j][index] = list(pairs)
         out: List[Tuple[Dict[Any, Any], CostReport]] = []
         for j in range(n_jobs):
             plan = plans[j] if plans is not None else None
@@ -467,49 +436,6 @@ class MapReduceEngine:
         return out
 
     # Phases ----------------------------------------------------------------
-    def _parallel_map_outputs(
-        self,
-        stored: StoredTable,
-        map_fn: Optional[MapFn],
-        plan: Optional[ScanPlan],
-        obs: Observer,
-        scan: Optional["ColumnScan"] = None,
-    ) -> Optional[List[Optional[List[Tuple[Any, Any]]]]]:
-        """Precompute map outputs on the worker pool (None = run inline).
-
-        Only plan-scanned partitions enqueue morsels; skipped and
-        synopsis-covered partitions never reach the pool.  Workers run
-        ``map_fn`` over the immutable partition data and nothing else —
-        every charge, failover retry, and span is replayed serially by
-        :meth:`_map_phase` with these outputs, which is what keeps the
-        parallel run byte-identical to the serial one.  With ``scan``,
-        columnar partitions carry column-pruned encoded payloads, exactly
-        the payloads the inline path would hand ``map_fn``.
-        """
-        executor = self.executor
-        if executor is None or not executor.parallel or map_fn is None:
-            return None
-        should_scan = None
-        if plan is not None:
-            should_scan = lambda i: plan.actions[i] == SCAN
-        morsels = partition_morsels(
-            stored.partitions,
-            should_scan,
-            columns=scan.columns if scan is not None else None,
-            spec=map_fn if isinstance(map_fn, TaskSpec) else None,
-        )
-        if not morsels:
-            return None
-        results = executor.run(
-            morsels, lambda data: list(map_fn(data)), label="map", observer=obs
-        )
-        outputs: List[Optional[List[Tuple[Any, Any]]]] = [None] * len(
-            stored.partitions
-        )
-        for morsel, pairs in zip(morsels, results):
-            outputs[morsel.index] = pairs
-        return outputs
-
     def _engaged_nodes(
         self,
         stored: StoredTable,

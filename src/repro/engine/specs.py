@@ -1,17 +1,16 @@
-"""Concrete :class:`~repro.parallel.spec.TaskSpec` kernels for the engines.
+"""The engines' partition-level kernels.
 
-Each spec is the *single* code object for its kernel: the engines call
-the same instance inline on the serial and thread paths that the
-process executor pickles out to workers, so the three execution modes
-cannot drift apart.  Every body is pure compute over the partition
-payload — charging, fault draws, and tracing stay on the caller (see
-DESIGN §9/§12, the "workers compute, the caller charges" contract).
+Each is a callable over one partition payload and nothing else: pure
+compute, no charging, no fault draws, no tracing.  The engines call them
+and then replay every charge in partition order themselves (see DESIGN,
+"Why scans run inline") — which is what lets a shared pass compute once
+and bill every job as if it had scanned alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from repro.engine.colscan import (
     columnar_partial,
     encoded_batch_masks,
 )
-from repro.parallel.spec import TaskSpec
 from repro.queries.selections import RangeSelection, batch_masks
 
 __all__ = [
@@ -33,7 +31,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class QueryPartialSpec(TaskSpec):
+class QueryPartialSpec:
     """Single-query map kernel: selection mask + aggregate partial.
 
     Mirrors ``ExactEngine._job_fns``'s historical closure exactly: the
@@ -99,15 +97,13 @@ def _span_mask(table, selection) -> np.ndarray:
     return mask
 
 
-class BatchPartialSpec(TaskSpec):
+class BatchPartialSpec:
     """Shared batch-pass kernel: broadcast masks, per-job partials.
 
-    Picklable replacement for ``ExactEngine.execute_many``'s
-    ``multi_map_fn`` closure.  The per-aggregate decode target (full
-    decode, cached scratch of the aggregate's own columns, or — for the
-    column-less Count — the mask itself) is resolved once per call from
-    the precomputed column sets instead of captured lambdas, which do
-    not pickle.
+    ``ExactEngine.execute_many``'s ``multi_map_fn``.  The per-aggregate
+    decode target (full decode, cached scratch of the aggregate's own
+    columns, or — for the column-less Count — the mask itself) is
+    resolved per call from column sets computed once here.
     """
 
     def __init__(self, selections: Sequence[Any], aggregates: Sequence[Any]) -> None:
@@ -146,17 +142,13 @@ class BatchPartialSpec(TaskSpec):
 
 
 @dataclass(frozen=True)
-class RowTakeSpec(TaskSpec):
+class RowTakeSpec:
     """Row-materialisation kernel for the coordinator's fetch cache.
 
     ``chunks`` are the per-plan index arrays requesting rows of one
-    partition; the kernel unions them and gathers the rows —
-    ``TablePartition.take`` semantics (encoded columns first, row store
-    otherwise), exposed worker-side through the same ``take`` method on
-    the shared-memory partition wrapper.
+    partition; the kernel unions them and gathers the rows through
+    ``TablePartition.take`` (encoded columns first, row store otherwise).
     """
-
-    payload_kind = "partition"
 
     chunks: Tuple[np.ndarray, ...]
 
@@ -166,11 +158,10 @@ class RowTakeSpec(TaskSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class GridAssignSpec(TaskSpec):
-    """Grid-cell assignment kernel for canopy/grid directory builds.
-
-    Picklable replacement for the bound-method cell assigner: scales
-    each row's grid columns into cell coordinates, clipped to the grid.
+class GridAssignSpec:
+    """Grid-cell assignment kernel for canopy/grid directory builds:
+    scales each row's grid columns into cell coordinates, clipped to the
+    grid.
     """
 
     grid_columns: Tuple[str, ...]
@@ -182,10 +173,3 @@ class GridAssignSpec(TaskSpec):
         mats = data.matrix(list(self.grid_columns))
         scaled = (mats - self.lows) / self.span * self.cells_per_dim
         return np.clip(scaled.astype(int), 0, self.cells_per_dim - 1)
-
-
-def _optional_tuple(columns: Optional[Sequence[str]]) -> Optional[Tuple[str, ...]]:
-    """Normalise a column union for shipping on a morsel (None = no projection)."""
-    if columns is None:
-        return None
-    return tuple(columns)

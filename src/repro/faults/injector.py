@@ -69,10 +69,9 @@ class FaultInjector:
         self.n_write_crashes = 0
         # Reentrant: advance/crash/recover call is_down/_note_* internally.
         # Guards the clock, the forced sets, the RNG stream, and the
-        # counters so concurrent readers (repro.parallel keeps injector
-        # hooks on the calling thread, but a shared injector may still be
-        # consulted from several sessions) never tear state or split an
-        # RNG draw.
+        # counters so concurrent readers (a shared injector may be
+        # consulted from several sessions, or from the gateway's two
+        # threads) never tear state or split an RNG draw.
         self._lock = threading.RLock()
 
     def attach_observer(self, observer: Observer) -> None:

@@ -132,13 +132,10 @@ class FailoverPolicy:
         requester: Optional[str] = None,
         obs: Observer = NULL_OBSERVER,
         prefer: str = PREFER_BALANCED,
-        materialize: bool = True,
     ):
         """Point-read ``row_indices`` of ``partition`` with failover.
 
-        Returns ``(rows_or_None, serving_node, extra_seconds)``; the rows
-        are ``None`` when ``materialize=False`` (batched fetches that
-        replay charges against a shared read).
+        Returns ``(rows, serving_node, extra_seconds)``.
         """
         idx = np.asarray(row_indices, dtype=int)
         return self._read(
@@ -148,9 +145,7 @@ class FailoverPolicy:
             requester,
             obs,
             prefer,
-            lambda node: store.read_rows(
-                partition, idx, meter, node_id=node, materialize=materialize
-            ),
+            lambda node: store.read_rows(partition, idx, meter, node_id=node),
         )
 
     # Core protocol ---------------------------------------------------------

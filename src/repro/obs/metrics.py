@@ -22,8 +22,8 @@ first registration wins, matching Prometheus client semantics.
 
 The registry is thread-safe end to end: child creation (family and
 label lookup) and every update (``inc``/``set``/``observe``) are
-lock-protected, so concurrent charging from :mod:`repro.parallel`
-worker threads can never lose an increment or tear a histogram.
+lock-protected, so the serving gateway's two threads can never lose
+an increment or tear a histogram.
 """
 
 from __future__ import annotations

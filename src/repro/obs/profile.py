@@ -5,8 +5,9 @@ a :class:`QueryProfile` tells you what happened to *one query*: which
 partitions its plan scanned, skipped, or answered from zone-map
 synopses (and the bytes that saved), whether the answer cache hit, which
 serving path the agent chose and the error estimate that drove it, every
-fault probe / retry / failover hop and any degraded bounds, the morsel
-fan-out, the per-phase simulated time, and the final cost report.
+fault probe / retry / failover hop and any degraded bounds, the count
+of partition-level scan units (``morsels``), the per-phase simulated
+time, and the final cost report.
 
 The :class:`FlightRecorder` assembles profiles from ``profile_*`` hook
 calls the instrumented stack makes through its
@@ -22,10 +23,9 @@ so the detached path stays allocation-free.  Two routing modes exist:
 
 Determinism contract: everything folded into a profile comes from the
 *serial charging path* — plans, cache state, the fault injector's seeded
-draws, simulated phase times, cost reports.  Nothing host-timed and
-nothing worker-dependent (no ``parallel_*`` artefacts) ever enters a
-profile, so the JSON and the ``EXPLAIN ANALYZE`` text are byte-identical
-at any worker count.
+draws, simulated phase times, cost reports.  Nothing host-timed ever
+enters a profile, so the JSON and the ``EXPLAIN ANALYZE`` text are
+byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -160,8 +160,7 @@ class QueryProfile:
 
     @property
     def morsels(self) -> int:
-        """Partition-level work units the scan fans out (plan-derived,
-        identical at any worker count)."""
+        """Partition-level work units of the scan (plan-derived)."""
         return self.n_scanned
 
     @property

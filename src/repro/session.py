@@ -43,7 +43,6 @@ from repro.explain.explanations import Explanation, ExplanationBuilder
 from repro.obs.observer import Observer, StackObserver
 from repro.obs.profile import QueryProfile, build_plan_profile
 from repro.obs.slo import SLOMonitor, SLOPolicy
-from repro.parallel import ProcessScanExecutor, ScanExecutor
 from repro.queries.query import AnalyticsQuery
 from repro.queries.sql import parse_query
 
@@ -106,46 +105,28 @@ class SEASession:
         config: Optional[AgentConfig] = None,
         partitions_per_node: int = 2,
         observer: Optional[Observer] = None,
-        workers: int = 1,
         layout: str = "row",
-        executor: str = "thread",
         ingest: bool = False,
         epoch_seconds: float = 1.0,
     ) -> None:
-        """``workers`` sizes the session's morsel pool (DESIGN §9):
-        ``workers=1`` (the default) is the serial path; higher counts fan
-        partition-level compute across real host threads while every
-        answer, cost report and serving statistic stays byte-identical.
-        ``executor`` picks the pool flavour (DESIGN §12): ``"thread"``
-        (default) shares the caller's address space but contends on the
-        GIL; ``"process"`` fans morsels across worker processes over
-        shared-memory partition views, breaking the GIL ceiling with the
-        same byte-identical answers. ``layout`` picks the default
-        partition storage layout (DESIGN §11): ``"row"`` keeps the
-        historical row-major matrices, ``"column"`` stores encoded
-        columns and unlocks column-pruned scans — answers are
-        byte-identical either way.  ``ingest=True`` turns on the durable
-        streaming write path (DESIGN §13): ``append_rows``/``delete_rows``
-        land in a write-ahead log plus per-partition deltas, readable
-        immediately, and are folded into base partitions by the epoch
-        compactor every ``epoch_seconds`` of simulated time
-        (``session.advance(...)``/``session.flush()``).
+        """``layout`` picks the default partition storage layout (DESIGN
+        §11): ``"row"`` keeps the historical row-major matrices,
+        ``"column"`` stores encoded columns and unlocks column-pruned
+        scans — answers are byte-identical either way.  ``ingest=True``
+        turns on the durable streaming write path (DESIGN §13):
+        ``append_rows``/``delete_rows`` land in a write-ahead log plus
+        per-partition deltas, readable immediately, and are folded into
+        base partitions by the epoch compactor every ``epoch_seconds`` of
+        simulated time (``session.advance(...)``/``session.flush()``).
         """
         require(n_nodes >= 1, "n_nodes must be >= 1")
-        require(
-            executor in ("thread", "process"),
-            f"executor must be 'thread' or 'process', not {executor!r}",
-        )
         self.topology = ClusterTopology.single_datacenter(n_nodes)
         self.store = DistributedStore(
             self.topology, replication=replication, layout=layout
         )
-        self.executor = (
-            ProcessScanExecutor(workers)
-            if executor == "process"
-            else ScanExecutor(workers)
-        )
-        self.engine = ExactEngine(self.store, executor=self.executor)
+        self.engine = ExactEngine(self.store)
+        # The benchmark's tracer times the engine's shared pass here.
+        self.executor = self.engine.executor
         self.agent = SEAAgent(self.engine, config or AgentConfig())
         self.partitions_per_node = partitions_per_node
         self._explainer = ExplanationBuilder(n_probes=13, span=(0.6, 1.4))
@@ -176,31 +157,22 @@ class SEASession:
             observer = StackObserver()
         self.observer = observer
         self.agent.attach_observer(observer)
-        self.executor.attach_observer(observer)
         if self.store.ingest is not None:
             self.store.ingest.attach_observer(observer)
         return observer
 
     def close(self) -> None:
-        """Shut down the session's worker pool (idempotent).
+        """Mark the session closed (idempotent).
 
-        Safe to call more than once and safe to race with a close
-        already in progress: the first call through wins, later calls
-        are no-ops, and a query that is *mid-flight* when close() is
-        entered finishes against resources the executor releases only
-        after its in-progress work drains (both pool flavours wait for
-        outstanding morsels before tearing down shared state).
+        The session holds nothing that needs releasing; the flag is what
+        ``ServingGateway.close()`` and ``with SEASession(...)`` leave
+        behind for anyone asking :attr:`closed`.
         """
-        if self._closed:
-            return
         self._closed = True
-        self.executor.close()
 
     @property
     def closed(self) -> bool:
-        """True once :meth:`close` has run (queries may still be served
-        through the serial fallback paths, but the worker pools and any
-        shared-memory segments are gone)."""
+        """True once :meth:`close` has run; queries are still served."""
         return self._closed
 
     def __enter__(self) -> "SEASession":

@@ -9,7 +9,7 @@ The contract under test (DESIGN §11):
    encoded domain equal ``RangeSelection.mask`` on the decoded rows.
 3. **Answer byte identity** — a columnar store answers every query
    bitwise identically to a row-major store over the same logical
-   table, at any worker count, under pruning plans and fault schedules.
+   table, under pruning plans and fault schedules.
 4. **Cost truthfulness** — the meter charges the encoded bytes a
    columnar scan actually reads, and profiles reconcile with it.
 """
@@ -45,7 +45,6 @@ from repro.engine.colscan import (
 )
 from repro.faults import FaultInjector, FaultSchedule
 from repro.obs import StackObserver
-from repro.parallel import ScanExecutor
 from repro.queries import (
     AnalyticsQuery,
     Correlation,
@@ -387,7 +386,7 @@ class TestReadOnlyPartitions:
                 }
                 for partition in stored.partitions
             ]
-            engine = ExactEngine(store, executor=ScanExecutor(4))
+            engine = ExactEngine(store)
             queries = [
                 AnalyticsQuery(
                     "t",
@@ -406,7 +405,7 @@ class TestReadOnlyPartitions:
 
 
 # ---------------------------------------------------------------------------
-# Row vs columnar byte identity (engines, profiles, faults, workers)
+# Row vs columnar byte identity (engines, profiles, faults)
 # ---------------------------------------------------------------------------
 
 
@@ -466,16 +465,6 @@ class TestRowColumnParity:
             assert p.bytes_saved == p.n_bytes - p.read_bytes
         assert profile.bytes_scanned == sum(p.read_bytes for p in scanned)
 
-    def test_workers_do_not_change_columnar_answers(self):
-        _, col_store, _ = build_stores(n=2600, seed=9)
-        serial = ExactEngine(col_store)
-        parallel = ExactEngine(col_store, executor=ScanExecutor(4))
-        for query in parity_queries():
-            a1, r1 = serial.execute(query)
-            a2, r2 = parallel.execute(query)
-            assert repr(a1) == repr(a2)
-            assert r1.as_dict() == r2.as_dict()
-
     def test_failover_parity_under_crash(self):
         row_store, col_store, _ = build_stores(n=1600, seed=10, replication=2)
         query = AnalyticsQuery(
@@ -509,7 +498,7 @@ class TestHypothesisByteIdentity:
     def test_row_vs_columnar_identity(
         self, seed, n, nan_fraction, crash, lo, span, agg_index
     ):
-        """Random tables × encodings × plans × faults × workers 1 vs 4."""
+        """Random tables × encodings × plans × faults."""
         row_store, col_store, _ = build_stores(
             n=n, seed=seed, replication=2, nan_fraction=nan_fraction
         )
@@ -522,17 +511,12 @@ class TestHypothesisByteIdentity:
             aggregate,
         )
         outcomes = []
-        for store, workers in (
-            (row_store, 1),
-            (row_store, 4),
-            (col_store, 1),
-            (col_store, 4),
-        ):
+        for store in (row_store, col_store):
             if crash:
                 schedule = FaultSchedule()
                 schedule.crash(store.topology.node_ids[seed % 4])
                 store.attach_faults(FaultInjector(schedule, seed=seed))
-            engine = ExactEngine(store, executor=ScanExecutor(workers))
+            engine = ExactEngine(store)
             try:
                 answer, _ = engine.execute(query)
                 outcomes.append(repr(answer))

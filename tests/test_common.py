@@ -1,5 +1,7 @@
 """Unit tests for repro.common: accounting, rng, validation."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,41 @@ class TestValidation:
     def test_require_matrix_checks_columns(self):
         with pytest.raises(ConfigurationError):
             require_matrix(np.zeros((3, 2)), "m", n_cols=3)
+
+
+class TestConcurrentCharging:
+    """The gateway's serve loop and its serving thread share these
+    objects, so updates from real threads must lose nothing."""
+
+    def test_cost_meter_loses_nothing_under_contention(self):
+        meter = CostMeter()
+        n_threads, n_charges = 8, 400
+
+        def worker():
+            for _ in range(n_charges):
+                # Equal-valued charges: float sums are order-independent.
+                meter.charge_scan("n0", 1024, rows=2)
+                meter.charge_transfer("n0", "n1", 256)
+                meter.charge_layers("n2", 1)
+
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        report = meter.freeze()
+        total = n_threads * n_charges
+        assert report.bytes_scanned == total * 1024
+        assert report.rows_examined == total * 2
+        assert report.bytes_shipped_lan == total * 256
+        assert report.messages == total
+        assert report.layers_crossed == total
+        assert report.nodes_touched == 3
+        rates = meter.rates
+        expected = total * (
+            1024 / rates.disk_bytes_per_sec
+            + rates.lan_rtt_sec
+            + 256 / rates.lan_bytes_per_sec
+            + rates.layer_overhead_sec
+        )
+        assert report.node_sec == pytest.approx(expected, rel=1e-12)

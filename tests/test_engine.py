@@ -1,11 +1,17 @@
 """Unit tests for repro.engine: BDAS stack, resources, MapReduce, coordinator."""
 
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.baselines import SegmentStatsCache
 from repro.common import CostMeter
 from repro.cluster import ClusterTopology, DistributedStore
-from repro.data import Table, uniform_table
+from repro.data import Table, gaussian_mixture_table, uniform_table
 from repro.engine import (
     BDASStack,
     CoordinatorEngine,
@@ -14,6 +20,14 @@ from repro.engine import (
 )
 from repro.engine.bdas import agent_stack
 from repro.engine.mapreduce import estimate_payload_bytes, stable_hash
+from repro.engine.specs import (
+    BatchPartialSpec,
+    GridAssignSpec,
+    QueryPartialSpec,
+    RowTakeSpec,
+)
+from repro.queries import AnalyticsQuery, Count, Mean, RangeSelection, Std
+from repro.session import SEASession
 
 
 @pytest.fixture
@@ -273,3 +287,127 @@ class TestRatesInjection:
         _, r_fast = fast.fetch_rows(stored, {0: list(range(100))})
         _, r_slow = slow.fetch_rows(stored, {0: list(range(100))})
         assert r_slow.elapsed_sec > r_fast.elapsed_sec * 2
+
+
+class TestPartitionKernels:
+    """``repro.engine.specs``: each kernel against the plain definition."""
+
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    def test_engine_specs_compute_identically(self, layout):
+        store = DistributedStore(ClusterTopology.single_datacenter(3), layout=layout)
+        store.put_table(
+            gaussian_mixture_table(2000, dims=("x0", "x1"), seed=3, name="data"),
+            partitions_per_node=2,
+        )
+        partition = store.table("data").partitions[0]
+        data = partition.data
+        selections = [
+            RangeSelection(("x0", "x1"), np.array([5.0, 5.0]), np.array([60.0, 70.0])),
+            RangeSelection(("x0", "x1"), np.array([30.0, 0.0]), np.array([90.0, 40.0])),
+        ]
+        aggregates = [Count(), Std("x1")]
+
+        def plain(selection, aggregate):
+            return repr(aggregate.partial(data.select(selection.mask(data))))
+
+        payloads = [data]
+        if layout == "column":
+            payloads.append(partition.columnar.project(("x0", "x1")))
+        for payload in payloads:
+            for aggregate in (Mean("x0"), Count(), Std("x1")):
+                ((key, partial),) = QueryPartialSpec(selections[0], aggregate)(payload)
+                assert key == 0
+                assert repr(partial) == plain(selections[0], aggregate)
+            batch = BatchPartialSpec(selections, aggregates)
+            for active in (None, [1]):
+                jobs = [0, 1] if active is None else active
+                per_job = batch(payload) if active is None else batch(payload, active)
+                assert [
+                    [(key, repr(partial)) for key, partial in pairs]
+                    for pairs in per_job
+                ] == [[(0, plain(selections[j], aggregates[j]))] for j in jobs]
+        all_idx, rows = RowTakeSpec((np.arange(4), np.array([9, 2])))(partition)
+        assert all_idx.tolist() == [0, 1, 2, 3, 9]
+        assert repr(rows.matrix(("x0", "x1"))) == repr(
+            data.take(all_idx).matrix(("x0", "x1"))
+        )
+        cells = GridAssignSpec(("x0", "x1"), np.zeros(2), np.full(2, 100.0), 8)(data)
+        expected = np.clip((data.matrix(["x0", "x1"]) / 100.0 * 8).astype(int), 0, 7)
+        assert np.array_equal(cells, expected)
+
+
+class TestInlineKernels:
+    """A kernel runs where it was asked: on the calling thread, one
+    partition after another, and no worker pool is importable by accident."""
+
+    @pytest.fixture
+    def stored(self, cluster):
+        return cluster.table("t")
+
+    @staticmethod
+    def _recorder(stored, calls):
+        index_of = {id(p.data): i for i, p in enumerate(stored.partitions)}
+
+        def note(payload):
+            data = getattr(payload, "data", payload)  # partition or its table
+            calls.append((threading.get_ident(), index_of[id(data)]))
+
+        return note
+
+    def test_shared_passes_call_kernels_here_in_partition_order(
+        self, cluster, stored, monkeypatch
+    ):
+        here = threading.get_ident()
+        n_parts = len(stored.partitions)
+
+        calls = []
+        note = self._recorder(stored, calls)
+
+        def multi_map_fn(data):
+            note(data)
+            return [[(0, data.n_rows)], [(0, 1)]]
+
+        total = lambda key, values: sum(values)
+        results = MapReduceEngine(cluster).run_many("t", multi_map_fn, [total, total])
+        assert [r[0] for r, _ in results] == [stored.n_rows, n_parts]
+        assert calls == [(here, i) for i in range(n_parts)]
+
+        calls.clear()
+        take = RowTakeSpec.__call__
+        monkeypatch.setattr(
+            RowTakeSpec,
+            "__call__",
+            lambda spec, partition: note(partition) or take(spec, partition),
+        )
+        plans = [{3: [0, 1], 0: [2]}, {5: [1], 3: [4]}]
+        fetched = CoordinatorEngine(cluster).fetch_rows_many(stored, plans)
+        assert [rows.n_rows for rows, _ in fetched] == [3, 2]
+        assert calls == [(here, 0), (here, 3), (here, 5)]
+
+        calls.clear()
+        assign = GridAssignSpec.__call__
+        monkeypatch.setattr(
+            GridAssignSpec,
+            "__call__",
+            lambda spec, data: note(data) or assign(spec, data),
+        )
+        cache = SegmentStatsCache(cluster, "t", ("x0", "x1"), cells_per_dim=4)
+        cache.execute(
+            AnalyticsQuery(
+                "t", RangeSelection(("x0", "x1"), [10.0, 10.0], [60.0, 60.0]), Count()
+            )
+        )
+        assert calls == [(here, i) for i in range(n_parts)]
+
+    def test_no_pool_is_imported_and_no_knob_accepts_one(self):
+        code = (
+            "import sys, repro, repro.session, repro.serve\n"
+            "loaded = [m for m in ('multiprocessing.shared_memory', "
+            "'concurrent.futures.process') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        for knob in ({"workers": 4}, {"executor": "process"}):
+            with pytest.raises(TypeError):
+                SEASession(n_nodes=2, **knob)

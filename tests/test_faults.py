@@ -17,6 +17,7 @@ The robustness contract has four legs, each pinned here:
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -901,3 +902,51 @@ class TestChaos:
             ):
                 assert synopsis.encodings == partition.columnar.encodings
                 assert synopsis.n_rows == partition.n_rows
+
+
+class TestConcurrentCharging:
+    """The gateway's serve loop and its serving thread share these
+    objects, so updates from real threads must lose nothing."""
+
+    def test_injector_concurrent_draws_consistent(self):
+        injector = FaultInjector(FaultSchedule().flaky("a", 0.5), seed=3)
+        failures = []
+
+        def worker():
+            local = 0
+            for _ in range(200):
+                try:
+                    injector.maybe_fail_read("a")
+                except TransientReadError:
+                    local += 1
+            failures.append(local)
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert injector.n_transient == sum(failures)
+        assert 0 < injector.n_transient < 1200
+
+    def test_injector_concurrent_clock_and_state(self):
+        injector = FaultInjector(FaultSchedule().crash("a", 1.0, 2.0))
+
+        def advance():
+            for _ in range(100):
+                injector.advance(0.01)
+
+        def query_state():
+            for _ in range(100):
+                injector.is_down("a")
+                injector.down_nodes(["a", "b"])
+
+        threads = [threading.Thread(target=advance) for _ in range(4)] + [
+            threading.Thread(target=query_state) for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert injector.now == pytest.approx(4.0)
+        assert not injector.is_down("a")  # window [1, 2] has passed

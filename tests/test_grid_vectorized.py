@@ -6,7 +6,7 @@ vectorized replacements (``group_rows_by_cell`` + ``np.add.at``) must be
 *bitwise* equal — same keys in the same insertion order, same float sums
 bit for bit (including ``-0.0`` and NaN), same row directories — because
 downstream answers, cost reports and fetch plans are compared with
-``repr`` equality across executors.
+``repr`` equality.
 """
 
 import numpy as np

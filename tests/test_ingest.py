@@ -401,23 +401,26 @@ class TestDirtyReads:
         pipeline.flush()
         assert store.read_columns(dirty[0], ("x0",), CostMeter()) is not None
 
-    def test_parallel_scan_matches_serial_on_dirty_store(self):
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    def test_shared_pass_matches_single_scans_on_dirty_store(self, layout):
         from repro.baselines.exact import ExactEngine
-        from repro.parallel import ScanExecutor
 
         table = make_table(600)
-        store, _ = ingest_store(table=table)
+        store, _ = ingest_store(layout=layout, table=table)
         store.append_rows("data", make_batch(31, 13))
         store.delete_rows("data", lambda t: t.column("x1") > 90.0)
-        query = AnalyticsQuery(
-            "data",
-            RangeSelection(("x0", "x1"), (0.0, 0.0), (80.0, 80.0)),
-            Sum("x0"),
-        )
-        serial, _ = ExactEngine(store).execute(query)
-        with ScanExecutor(workers=4) as executor:
-            parallel, _ = ExactEngine(store, executor=executor).execute(query)
-        assert parallel == serial
+        queries = [
+            AnalyticsQuery(
+                "data",
+                RangeSelection(("x0", "x1"), (0.0, 0.0), (hi, 80.0)),
+                Sum("x0"),
+            )
+            for hi in (80.0, 40.0)
+        ]
+        engine = ExactEngine(store)
+        singles = [engine.execute(query)[0] for query in queries]
+        assert [answer for answer, _ in engine.execute_many(queries)] == singles
+        assert singles == [engine.ground_truth(query) for query in queries]
 
 
 # ---------------------------------------------------------------------------
@@ -989,50 +992,6 @@ class TestFreshReadCost:
                 view = partition.read_view()
                 assert counted == (view.n_rows, view.n_bytes, view.row_bytes)
         assert store.table("data").n_rows == store.table("data").full_table().n_rows
-
-
-# ---------------------------------------------------------------------------
-# Satellite 2: bounded shared-memory republish after compaction
-# ---------------------------------------------------------------------------
-class TestRepublishBound:
-    def test_republish_bytes_bounded_by_mutated_partitions(self):
-        from repro.parallel.procpool import SharedPartitionStore
-
-        table = make_table(800)
-        store, pipeline = ingest_store(table=table)
-        partitions = store.table("data").partitions
-        shm = SharedPartitionStore()
-        try:
-            for partition in partitions:
-                shm.ensure(partition)
-            assert shm.republish_bytes == 0
-
-            # A small batch spreads over a strict subset of the 8
-            # partitions, so compaction must leave the rest untouched.
-            store.append_rows("data", make_batch(3, 19))
-            pipeline.flush()
-            mutated = [p for p in partitions if p.generation > 0]
-            untouched = [p for p in partitions if p.generation == 0]
-            assert mutated and untouched
-
-            # Staged-writes-never-bump-generation + compaction's single
-            # bump mean the lazy republish touches exactly the mutated
-            # partitions — never the whole table.
-            for partition in partitions:
-                shm.ensure(partition)
-            mutated_footprint = sum(
-                shm._segments[(p.table_name, p.index)].nbytes
-                for p in mutated
-            )
-            assert shm.republish_bytes > 0
-            assert shm.republish_bytes <= mutated_footprint
-            # The untouched partitions kept their original segments.
-            shm.republish_bytes = 0
-            for partition in untouched:
-                shm.ensure(partition)
-            assert shm.republish_bytes == 0
-        finally:
-            shm.close()
 
 
 # ---------------------------------------------------------------------------

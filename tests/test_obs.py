@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -291,3 +292,34 @@ class TestObserver:
         snap = obs.snapshot()
         assert snap["obs_spans_recorded"] == 1.0
         assert snap["obs_events_recorded"] == 1.0
+
+
+class TestConcurrentCharging:
+    """The gateway's serve loop and its serving thread share these
+    objects, so updates from real threads must lose nothing."""
+
+    def test_metrics_registry_loses_nothing_under_contention(self):
+        registry = MetricsRegistry()
+        n_threads, n_ops = 8, 300
+
+        def worker(i):
+            for j in range(n_ops):
+                registry.counter("hits").labels(kind=str(j % 3)).inc()
+                registry.histogram("lat").labels().observe(1.0)
+                registry.gauge("depth").labels().inc()
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        snapshot = registry.as_dict()
+        total = n_threads * n_ops
+        assert sum(
+            v for k, v in snapshot.items() if k.startswith("hits{")
+        ) == total
+        assert snapshot["lat_count"] == total
+        assert snapshot["lat_sum"] == pytest.approx(float(total))
+        assert snapshot["depth"] == total

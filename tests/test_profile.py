@@ -11,10 +11,9 @@ Four families of guarantees:
   rendered text are deterministic.
 * **Health** — the SLO monitor's burn-rate statuses, the late-attach
   replay, and the accuracy-drift z-score detector.
-* **Byte-identity** — a hypothesis property drives identically seeded
-  sessions (pruning on/off × faults on/off) at ``workers=1`` vs
-  ``workers=4`` and requires identical profile JSONL, event JSONL,
-  metrics (minus ``parallel_*``) and spans (minus ``parallel:*``).
+* **Byte-identity** — a hypothesis property drives two identically
+  seeded sessions (pruning on/off × faults on/off) and requires
+  identical profile JSONL, event JSONL, metrics and spans.
 """
 
 import json
@@ -464,15 +463,14 @@ class TestExportErgonomics:
 
 
 # --------------------------------------------------------------------------
-# Byte-identity: profiles/events/metrics/spans at any worker count
+# Byte-identity: profiles/events/metrics/spans repeat run to run
 # --------------------------------------------------------------------------
-def _observability_fingerprint(workers, seed, pruning, faulty):
-    """Everything observability must keep worker-independent."""
+def _observability_fingerprint(seed, pruning, faulty):
+    """Everything observability exports, for one seeded session."""
     session = SEASession(
         n_nodes=4,
         replication=2 if faulty else 1,
         config=AgentConfig(training_budget=6, error_threshold=0.05, warmup=4),
-        workers=workers,
     )
     try:
         table = gaussian_mixture_table(
@@ -495,22 +493,16 @@ def _observability_fingerprint(workers, seed, pruning, faulty):
             session.submit(query)
         session.submit_batch(queries[6:])
         health = session.health()
-        metrics = {
-            k: v
-            for k, v in observer.metrics.as_dict().items()
-            if not k.startswith("parallel_")
-        }
         spans = [
             (s.name, s.category, s.track, s.depth,
              round(s.start, 9), round(s.duration, 9))
             for s in observer.trace.spans
-            if not s.name.startswith("parallel")
         ]
         return {
             "profiles": observer.profiles.to_jsonl(),
             "renders": [p.render() for p in observer.profiles.profiles],
             "events": observer.events.to_jsonl(),
-            "metrics": metrics,
+            "metrics": observer.metrics.as_dict(),
             "spans": spans,
             "health": health,
         }
@@ -525,7 +517,8 @@ class TestProfileByteIdentity:
         faulty=st.booleans(),
     )
     @settings(max_examples=6, deadline=None)
-    def test_workers_never_change_observability(self, seed, pruning, faulty):
-        serial = _observability_fingerprint(1, seed, pruning, faulty)
-        parallel = _observability_fingerprint(4, seed, pruning, faulty)
-        assert serial == parallel
+    def test_identical_sessions_export_identical_observability(
+        self, seed, pruning, faulty
+    ):
+        first = _observability_fingerprint(seed, pruning, faulty)
+        assert first == _observability_fingerprint(seed, pruning, faulty)

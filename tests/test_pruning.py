@@ -620,3 +620,38 @@ class TestSynopsisFeatures:
     def test_empty_synopses_default_to_full_scan(self):
         selection = RangeSelection(("x0",), [0.0], [1.0])
         assert synopsis_estimates([], selection) == (1.0, 1.0)
+
+
+class TestBoundingBoxHoisting:
+    def test_box_computed_once_per_selection(self):
+        selection = RangeSelection(("x0", "x1"), [0.0, 0.0], [1.0, 1.0])
+        calls = []
+        original = selection.bounding_box
+        selection.bounding_box = lambda: calls.append(1) or original()
+        first = selection.box()
+        second = selection.box()
+        assert len(calls) == 1
+        assert first is second
+        np.testing.assert_array_equal(first[0], [0.0, 0.0])
+
+    def test_plan_scan_consults_box_once_across_partitions(self, store):
+        rng = np.random.default_rng(2)
+        table = Table(
+            {"x0": rng.normal(size=2000), "x1": rng.normal(size=2000)},
+            name="boxy",
+        )
+        store.put_table(table, partitions_per_node=4)  # 16 partitions
+        synopses = store.synopses("boxy")
+        selection = RangeSelection(("x0", "x1"), [-0.5, -0.5], [0.5, 0.5])
+        calls = []
+        original = selection.bounding_box
+        selection.bounding_box = lambda: calls.append(1) or original()
+        plan_scan(synopses, selection, Count(), emit_key=0)
+        assert len(calls) == 1
+
+    def test_box_cache_is_per_instance(self):
+        a = RangeSelection(("x0",), [0.0], [1.0])
+        b = RangeSelection(("x0",), [2.0], [3.0])
+        assert a.box()[0][0] == 0.0
+        assert b.box()[0][0] == 2.0
+        assert a.box() is not b.box()

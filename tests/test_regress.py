@@ -38,20 +38,18 @@ def _write_serving(root, batched_values, sequential=2000.0):
     return path
 
 
-def _write_parallel(root, wall_values):
+def _write_columnar(root, wall_values):
     entries = [
         {
-            "experiment": "e19_parallel",
+            "experiment": "e21_columnar",
             "n_rows": 60000,
-            "partitions": 16,
-            "sweep": [
-                {"workers": 1, "wall_sec_median": value, "wall_sec_iqr": 0.0},
-                {"workers": 4, "wall_sec_median": value / 2},
-            ],
+            "partitions": 64,
+            "col_wall_sec_low_sel": value,
+            "col_wall_sec_low_sel_iqr": 0.0,
         }
         for value in wall_values
     ]
-    path = os.path.join(root, "BENCH_parallel.json")
+    path = os.path.join(root, "BENCH_columnar.json")
     with open(path, "w") as handle:
         json.dump({"entries": entries}, handle)
     return path
@@ -136,9 +134,9 @@ class TestRegressionSentinel:
         assert regress.main(["--root", str(tmp_path)]) == 0
 
     def test_lower_is_better_flags_slowdowns_only(self, tmp_path):
-        _write_parallel(str(tmp_path), [10.0, 10.0, 12.5])
+        _write_columnar(str(tmp_path), [10.0, 10.0, 12.5])
         assert regress.main(["--root", str(tmp_path)]) == 1
-        _write_parallel(str(tmp_path), [10.0, 10.0, 8.0])
+        _write_columnar(str(tmp_path), [10.0, 10.0, 8.0])
         assert regress.main(["--root", str(tmp_path)]) == 0
 
     def test_gateway_goodput_and_p50_ratio_directions(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from repro.queries import (
     Std,
     Sum,
 )
+from repro.queries.selections import batch_masks
 
 
 @pytest.fixture
@@ -298,3 +299,53 @@ class TestZoomSession:
             wg.zoom_session(depth=0)
         with pytest.raises(ConfigurationError):
             wg.zoom_session(shrink=1.5)
+
+
+class TestSelectionEdges:
+    def _table(self, n):
+        rng = np.random.default_rng(0)
+        return Table(
+            {"x0": rng.normal(size=n), "x1": rng.normal(size=n)}, name="t"
+        )
+
+    def test_knn_k_at_least_n_rows_selects_everything(self):
+        table = self._table(5)
+        for k in (5, 6, 100):
+            mask = KNNSelection(("x0", "x1"), [0.0, 0.0], k).mask(table)
+            assert mask.dtype == bool and mask.all() and mask.shape == (5,)
+
+    def test_knn_zero_row_partition(self):
+        table = self._table(0)
+        mask = KNNSelection(("x0", "x1"), [0.0, 0.0], 3).mask(table)
+        assert mask.shape == (0,) and mask.dtype == bool
+
+    def test_knn_normal_case_still_exact(self):
+        table = self._table(50)
+        selection = KNNSelection(("x0", "x1"), [0.2, -0.1], 7)
+        mask = selection.mask(table)
+        assert int(mask.sum()) == 7
+        points = table.matrix(("x0", "x1"))
+        dist = ((points - np.asarray([0.2, -0.1])) ** 2).sum(axis=1)
+        assert dist[mask].max() <= dist[~mask].min()
+
+    def test_batch_masks_empty_selection_list(self):
+        assert batch_masks([], self._table(10)) == []
+
+    def test_batch_masks_zero_row_table(self):
+        table = self._table(0)
+        selections = [
+            RangeSelection(("x0", "x1"), [-1, -1], [1, 1]),
+            RangeSelection(("x0", "x1"), [0, 0], [2, 2]),
+        ]
+        masks = batch_masks(selections, table)
+        assert len(masks) == 2
+        for mask, selection in zip(masks, selections):
+            assert mask.shape == (0,)
+            assert np.array_equal(mask, selection.mask(table))
+
+    def test_batch_masks_with_knn_over_zero_rows(self):
+        table = self._table(0)
+        masks = batch_masks(
+            [KNNSelection(("x0", "x1"), [0.0, 0.0], 2)], table
+        )
+        assert masks[0].shape == (0,)
