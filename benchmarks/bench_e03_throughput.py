@@ -21,7 +21,9 @@ Scale via ``E03_ROWS`` / ``E03_QUERIES`` (the CI smoke job runs reduced).
 """
 
 import gc
+import itertools
 import os
+import time
 
 import numpy as np
 
@@ -59,6 +61,23 @@ def _warmed_agent(store, warm_queries):
     return agent
 
 
+def _predict_us(agent, queries, calls=2000):
+    """Median microseconds of one ``DatalessPredictor.predict`` call.
+
+    The layer under every ``AnswerCache`` miss, timed alone on the frozen
+    agent: informational (recorded, not gated).
+    """
+    pairs = [
+        (agent._predictors[q.signature()].predict, q.vector()) for q in queries
+    ]
+    samples = []
+    for predict, vector in itertools.islice(itertools.cycle(pairs), calls):
+        start = time.perf_counter()
+        predict(vector)
+        samples.append(time.perf_counter() - start)
+    return float(np.median(samples)) * 1e6
+
+
 def run_throughput():
     store, table = build_world(n_rows=N_ROWS)
     n_nodes = len(store.topology)
@@ -92,6 +111,7 @@ def run_throughput():
         sequential_qps.append(N_QUERIES / seq_sec)
         batched_qps.append(N_QUERIES / bat_sec)
         reference = agent_seq
+    predict_us = _predict_us(reference, serve_queries)
 
     # Service demands for the M/D/c capacity model come from the full
     # lifecycle history (train + serve) of the last sequential agent.
@@ -127,6 +147,7 @@ def run_throughput():
         "batched_qps": bat_qps,
         "batched_qps_iqr": bat_stats["iqr"],
         "speedup": bat_qps / seq_qps,
+        "predict_us": predict_us,
         "serve_predicted": serve_modes.get("predicted", 0),
         "serve_fallback": serve_modes.get("fallback", 0),
         "dataless_fraction": dataless_fraction,
@@ -174,3 +195,4 @@ def test_e03_throughput(benchmark):
     benchmark.extra_info["sequential_qps"] = serving["sequential_qps"]
     benchmark.extra_info["batched_qps"] = serving["batched_qps"]
     benchmark.extra_info["batched_speedup"] = serving["speedup"]
+    benchmark.extra_info["predict_us"] = serving["predict_us"]

@@ -24,6 +24,7 @@ from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.linear import RidgeRegression, polynomial_features
 
 FAMILIES = ("mean", "linear", "quadratic", "gbm")
+_MIN_SAMPLES = {"mean": 1, "linear": 3, "quadratic": 6, "gbm": 8}
 
 
 class _MeanModel:
@@ -113,7 +114,7 @@ class AnswerModelFactory:
 
     def min_samples(self) -> int:
         """Fewest training pairs before a family produces a sane fit."""
-        return {"mean": 1, "linear": 3, "quadratic": 6, "gbm": 8}[self.family]
+        return _MIN_SAMPLES[self.family]
 
 
 class QuantumModel:
@@ -175,15 +176,9 @@ class QuantumModel:
 
     def predict(self, vector) -> np.ndarray:
         """Predicted answer (shape ``(answer_dim,)``) for one query vector."""
-        if not self.is_trained:
-            raise NotTrainedError(
-                f"quantum model has {self.n_samples} samples, needs "
-                f"{self.factory.min_samples()}"
-            )
-        if self._dirty:
-            self._refit()
-        v = np.asarray(vector, dtype=float).reshape(1, -1)
-        return np.array([model.predict(v)[0] for model in self._models])
+        x = np.asarray(vector, dtype=float).reshape(1, -1)
+        # Copied: a kept Prediction must not pin the batch matrix behind it.
+        return self.predict_batch(x)[0].copy()
 
     def predict_batch(self, vectors) -> np.ndarray:
         """Predicted answers (shape ``(n, answer_dim)``) for ``n`` vectors.
@@ -200,7 +195,7 @@ class QuantumModel:
         if self._dirty:
             self._refit()
         x = np.atleast_2d(np.asarray(vectors, dtype=float))
-        return np.stack([model.predict(x) for model in self._models], axis=1)
+        return np.array([model.predict(x) for model in self._models]).T
 
     def reset(self) -> None:
         """Discard everything (maintenance: invalidated by data updates)."""

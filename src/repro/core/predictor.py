@@ -94,7 +94,7 @@ class DatalessPredictor:
         or the query is far from every known quantum.
         """
         v = np.asarray(vector, dtype=float).ravel()
-        assigned = self.quantizer.assign(v)
+        assigned, novelty = self.quantizer.assign_novelty(v)
         quantum_id = assigned
         model = self._models.get(quantum_id)
         borrowed = False
@@ -103,7 +103,6 @@ class DatalessPredictor:
             borrowed = True
         value = model.predict(v)
         error = self.errors.estimate(quantum_id)
-        novelty = self.quantizer.novelty(v)
         # A *borrowed* model (the query's own quantum is untrained, e.g.
         # freshly invalidated) answers best-effort but must never be
         # treated as reliable: its error history describes a different

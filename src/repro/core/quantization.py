@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.errors import NotTrainedError
+from repro.common.errors import ConfigurationError, NotTrainedError
 from repro.common.validation import require
 from repro.ml.kmeans import OnlineKMeans
 from repro.ml.scaling import StandardScaler
@@ -100,10 +100,17 @@ class QuerySpaceQuantizer:
 
     def assign(self, vector) -> int:
         """Quantum id of a vector without updating the codebook."""
+        return self.assign_novelty(vector)[0]
+
+    def assign_novelty(self, vector) -> Tuple[int, float]:
+        """(quantum id, novelty) of a vector: one scaling, one search.
+
+        ``(0, inf)`` during warm-up.
+        """
         v = np.asarray(vector, dtype=float).ravel()
         if not self.is_warm:
-            return 0
-        return self._codebook.assign(self._scale(v))
+            return 0, float("inf")
+        return self._codebook.assign_distance(self._scale(v))
 
     def assign_batch(self, vectors) -> np.ndarray:
         """Quantum ids for ``n`` vectors without updating the codebook.
@@ -120,8 +127,8 @@ class QuerySpaceQuantizer:
         """(quantum ids, novelty distances) for ``n`` vectors in one pass.
 
         Scaling and assignment run once and feed both outputs; row ``i``
-        equals ``(assign(vectors[i]), novelty(vectors[i]))`` exactly — the
-        distance is recomputed with the same 1-D norm :meth:`novelty` uses
+        equals ``assign_novelty(vectors[i])`` exactly — the distance is
+        recomputed with the same 1-D norm the single-vector search takes,
         so every value is bitwise identical to the sequential calls.
         """
         x = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -131,10 +138,11 @@ class QuerySpaceQuantizer:
                 np.full(x.shape[0], float("inf")),
             )
         scaled = self._scaler.transform(x)
+        centers = self._codebook.cluster_centers_
         assigned = self._codebook.assign_batch(scaled)
         novelty = np.array(
             [
-                self._codebook.distance_to(row, int(quantum))
+                np.linalg.norm(centers[quantum] - row)
                 for row, quantum in zip(scaled, assigned)
             ]
         )
@@ -150,12 +158,7 @@ class QuerySpaceQuantizer:
         Large values mean the query probes a subspace no training query
         covered — the predictor inflates its error estimate accordingly.
         """
-        v = np.asarray(vector, dtype=float).ravel()
-        if not self.is_warm:
-            return float("inf")
-        scaled = self._scale(v)
-        quantum = self._codebook.assign(scaled)
-        return self._codebook.distance_to(scaled, quantum)
+        return self.assign_novelty(vector)[1]
 
     def remove_quantum(self, quantum_id: int) -> None:
         """Purge a quantum whose subspace is no longer of interest."""
@@ -177,4 +180,10 @@ class QuerySpaceQuantizer:
         self._buffer = []
 
     def _scale(self, v: np.ndarray) -> np.ndarray:
-        return self._scaler.transform(v.reshape(1, -1))[0]
+        """``StandardScaler.transform`` of one vector, elementwise."""
+        mean = self._scaler.mean_
+        if v.shape != mean.shape:
+            raise ConfigurationError(
+                f"vector must have {mean.shape[0]} entries, got {v.shape[0]}"
+            )
+        return (v - mean) / self._scaler.scale_

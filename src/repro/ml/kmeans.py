@@ -11,7 +11,7 @@ track drifting interest, RT1.4).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -140,6 +140,17 @@ class OnlineKMeans:
         self.centers: list = []
         self.counts: list = []
 
+    # ``centers`` as one read-only matrix.  Every change to the codebook
+    # drops it and the next reader rebuilds it whole before publishing it
+    # with one assignment; it is never pickled, and the class default
+    # serves blobs written before it existed.
+    _matrix: Optional[np.ndarray] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_matrix", None)
+        return state
+
     @property
     def n_active(self) -> int:
         """Number of centroids spawned so far."""
@@ -147,9 +158,14 @@ class OnlineKMeans:
 
     @property
     def cluster_centers_(self) -> np.ndarray:
-        if not self.centers:
-            raise NotTrainedError("OnlineKMeans has seen no data yet")
-        return np.asarray(self.centers)
+        matrix = self._matrix
+        if matrix is None:
+            if not self.centers:
+                raise NotTrainedError("OnlineKMeans has seen no data yet")
+            matrix = np.asarray(self.centers)
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return matrix
 
     def partial_fit(self, vector) -> int:
         """Absorb one sample; returns the index of its (possibly new) quantum."""
@@ -157,6 +173,7 @@ class OnlineKMeans:
         if not self.centers:
             self.centers.append(v.copy())
             self.counts.append(1.0)
+            self._matrix = None
             return 0
         distances = np.linalg.norm(self.cluster_centers_ - v, axis=1)
         winner = int(distances.argmin())
@@ -171,10 +188,12 @@ class OnlineKMeans:
         if should_grow or seed_capacity:
             self.centers.append(v.copy())
             self.counts.append(1.0)
+            self._matrix = None
             return len(self.centers) - 1
         self.counts[winner] = self.counts[winner] * self.decay + 1.0
         rate = 1.0 / self.counts[winner]
         self.centers[winner] = self.centers[winner] + rate * (v - self.centers[winner])
+        self._matrix = None
         return winner
 
     def predict(self, x) -> np.ndarray:
@@ -184,9 +203,14 @@ class OnlineKMeans:
 
     def assign(self, vector) -> int:
         """Nearest-quantum index for one sample, without updating the model."""
+        return self.assign_distance(vector)[0]
+
+    def assign_distance(self, vector) -> Tuple[int, float]:
+        """(:meth:`assign`, :meth:`distance_to` that quantum) in one search."""
         centers = self.cluster_centers_
         v = np.asarray(vector, dtype=float).ravel()
-        return int(np.linalg.norm(centers - v, axis=1).argmin())
+        winner = int(np.linalg.norm(centers - v, axis=1).argmin())
+        return winner, float(np.linalg.norm(centers[winner] - v))
 
     def assign_batch(self, x) -> np.ndarray:
         """Nearest-quantum index per row of ``x``, without updating the model.
@@ -212,3 +236,4 @@ class OnlineKMeans:
             raise IndexError(f"no centroid {index}")
         del self.centers[index]
         del self.counts[index]
+        self._matrix = None

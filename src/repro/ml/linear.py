@@ -9,7 +9,8 @@ adequate at the model sizes used here (tens of features).
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +30,14 @@ def _row_stable_matvec(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", x, coef)
 
 
+@lru_cache(maxsize=64)
+def _pair_columns(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Column indices ``(i, j)``, ``i < j``, in nested-loop order; shared."""
+    left, right = np.triu_indices(n, 1)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
 def polynomial_features(x, degree: int = 2, interaction: bool = True) -> np.ndarray:
     """Expand features with powers (and optionally pairwise interactions).
 
@@ -42,10 +51,9 @@ def polynomial_features(x, degree: int = 2, interaction: bool = True) -> np.ndar
     for power in range(2, degree + 1):
         columns.append(x**power)
     if interaction and x.shape[1] > 1 and degree >= 2:
-        n = x.shape[1]
-        pairs = [x[:, i] * x[:, j] for i in range(n) for j in range(i + 1, n)]
-        columns.append(np.stack(pairs, axis=1))
-    return np.hstack(columns)
+        left, right = _pair_columns(x.shape[1])
+        columns.append(x[:, left] * x[:, right])
+    return np.concatenate(columns, axis=1)
 
 
 class LinearRegression:

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.predictor (objective O3)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,10 @@ def linear_world(v):
     return 2.0 * v[0] + 0.5 * v[1] + 10.0
 
 
-def train_predictor(n=200, seed=0, **kwargs):
+def train_predictor(n=200, seed=0, factory_family="linear", **kwargs):
     predictor = DatalessPredictor(
         quantizer=QuerySpaceQuantizer(n_quanta=4, warmup=16, grow_threshold=2.0),
-        factory=AnswerModelFactory("linear"),
+        factory=AnswerModelFactory(factory_family),
         **kwargs,
     )
     rng = np.random.default_rng(seed)
@@ -132,3 +134,150 @@ class TestFootprint:
         predictor = train_predictor()
         with pytest.raises(Exception):
             predictor.centroid_of(999)
+
+
+def reference_predict(predictor, vector):
+    """``predict`` as the parent composed it, one public call per step.
+
+    ``assign`` -> (borrow) -> ``model.predict`` -> ``errors.estimate`` ->
+    ``novelty``, with the model evaluated one fitted scalar model at a time
+    on a one-row matrix.
+    """
+    v = np.asarray(vector, dtype=float).ravel()
+    assigned = predictor.quantizer.assign(v)
+    quantum_id = assigned
+    model = predictor._models.get(quantum_id)
+    borrowed = False
+    if model is None or not model.is_trained:
+        model, quantum_id = predictor._nearest_trained(v, assigned)
+        borrowed = True
+    if model._dirty:
+        model._refit()
+    value = np.array([m.predict(v.reshape(1, -1))[0] for m in model._models])
+    error = predictor.errors.estimate(quantum_id)
+    novelty = predictor.quantizer.novelty(v)
+    reliable = (
+        not borrowed and error is not None and novelty <= predictor.novelty_limit
+    )
+    return value.tobytes(), quantum_id, error, novelty, reliable, borrowed
+
+
+def as_tuple(prediction):
+    return (
+        prediction.value.tobytes(),
+        prediction.quantum_id,
+        prediction.error_estimate,
+        prediction.novelty,
+        prediction.reliable,
+    )
+
+
+class TestPredictIsTheReferenceComposition:
+    @pytest.mark.parametrize("family", ["linear", "quadratic"])
+    def test_observe_predict_sequence_matches_golden_tuples(self, family):
+        predictor = DatalessPredictor(
+            quantizer=QuerySpaceQuantizer(
+                n_quanta=3, warmup=16, grow_threshold=1.5, max_quanta=6
+            ),
+            factory=AnswerModelFactory(family),
+        )
+        rng = np.random.default_rng(21)
+        centres = np.array([[10.0, 5.0, 2.0], [60.0, 40.0, 4.0]])
+
+        def world(v):
+            return v[0] * v[1] - 3.0 * v[2] + 7.0
+
+        checked = borrowed_seen = 0
+
+        def check(vector):
+            nonlocal checked, borrowed_seen
+            golden = reference_predict(predictor, vector)
+            assert as_tuple(predictor.predict(vector)) == golden[:5]
+            batch = predictor.predict_batch([vector])
+            assert as_tuple(batch[0]) == golden[:5]
+            checked += 1
+            borrowed_seen += golden[5]
+
+        for step in range(260):
+            v = centres[step % 2] + rng.normal(scale=1.0, size=3)
+            predictor.observe(v, world(v))
+            if step >= 40 and step % 3 == 0:
+                check(centres[step % 2] + rng.normal(scale=1.5, size=3))
+            if step == 150:
+                # Invalidate the busiest quantum: its next queries borrow.
+                busiest = max(
+                    predictor.quantum_ids(),
+                    key=lambda q: predictor.model_for(q).n_samples,
+                )
+                probe = predictor.centroid_of(busiest)
+                assert predictor.predict(probe).quantum_id == busiest
+                predictor.reset_quantum(busiest)
+                check(probe)
+                assert predictor.predict(probe).quantum_id != busiest
+                assert not predictor.predict(probe).reliable
+        check([1e5, -1e5, 3.0])  # far outside: unreliable, still equal
+        assert checked > 70 and borrowed_seen >= 1
+
+    def test_not_warm_and_untrained_raise_as_before(self):
+        predictor = DatalessPredictor(
+            quantizer=QuerySpaceQuantizer(warmup=8)
+        )
+        predictor.observe([1.0, 2.0], 3.0)
+        with pytest.raises(NotTrainedError):
+            predictor.predict([1.0, 2.0])
+        assert predictor.predict_batch([[1.0, 2.0]]) == [None]
+
+
+class TestModelAnswerCost:
+    """What one ``predict`` computes on a frozen predictor: counted."""
+
+    @pytest.mark.parametrize("family", ["linear", "quadratic"])
+    def test_one_search_one_distance_no_matrix_rebuild(self, family, monkeypatch):
+        predictor = train_predictor(n=300, factory_family=family)
+        codebook = predictor.quantizer._codebook
+        rng = np.random.default_rng(22)
+
+        def own_model_trained(p):
+            model = predictor.model_for(predictor.quantizer.assign(p))
+            return model is not None and model.is_trained
+
+        # A borrowed answer also ranks the trained centroids: not counted.
+        candidates = rng.normal(loc=(10.0, 5.0), scale=2.0, size=(300, 2))
+        probes = [p for p in candidates if own_model_trained(p)][:100]
+        assert len(probes) == 100
+        for probe in probes:  # refits, estimate memos, kept matrix
+            predictor.predict(probe)
+        counts = Counter()
+        asarray, norm, quantile = np.asarray, np.linalg.norm, np.quantile
+
+        def counting_asarray(a, *args, **kwargs):
+            if a is codebook.centers:
+                counts["matrix_rebuilt"] += 1
+            return asarray(a, *args, **kwargs)
+
+        def counting_norm(x, *args, **kwargs):
+            if kwargs.get("axis") == 1:
+                counts["search_norms"] += 1
+            elif np.ndim(x) == 1:
+                counts["row_norms"] += 1
+            else:
+                counts["other_norms"] += 1
+            return norm(x, *args, **kwargs)
+
+        def counting_quantile(*args, **kwargs):
+            counts["quantile"] += 1
+            return quantile(*args, **kwargs)
+
+        monkeypatch.setattr(np, "asarray", counting_asarray)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np, "quantile", counting_quantile)
+        for probe in probes:
+            predictor.predict(probe)
+        assert counts == {"search_norms": 100, "row_norms": 100}
+        # A learning step drops the kept matrix: the next read rebuilds once.
+        predictor.observe(probes[0], linear_world(probes[0]))
+        counts.clear()
+        for probe in probes[:10]:
+            predictor.predict(probe)
+        assert counts["matrix_rebuilt"] == 1
+        assert (counts["search_norms"], counts["row_norms"]) == (10, 10)

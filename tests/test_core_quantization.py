@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.common.errors import NotTrainedError
+from repro.common.errors import ConfigurationError, NotTrainedError
 from repro.core import QuerySpaceQuantizer
+from repro.ml import OnlineKMeans, StandardScaler
 
 
 def feed(quantizer, vectors):
@@ -101,3 +104,122 @@ class TestQuantization:
         n = q.n_quanta
         q.remove_quantum(0)
         assert q.n_quanta == n - 1
+
+
+def two_call_answer(quantizer, vector):
+    """The parent's ``assign(v)`` then ``novelty(v)``, written out.
+
+    Scaling goes through the 2-D validator, the centroid matrix is built
+    from the list, and the two norms are the ones ``OnlineKMeans.assign``
+    and ``distance_to`` took.
+    """
+    v = np.asarray(vector, dtype=float).ravel()
+    if not quantizer.is_warm:
+        return 0, float("inf")
+    scaled = quantizer._scaler.transform(v.reshape(1, -1))[0]
+    centers = np.asarray(quantizer._codebook.centers)
+    quantum = int(np.linalg.norm(centers - scaled, axis=1).argmin())
+    return quantum, float(np.linalg.norm(centers[quantum] - scaled))
+
+
+def quantizer_with_centroids(centroids):
+    """A warm quantizer whose (scaled) centroids are exactly these."""
+    q = QuerySpaceQuantizer(n_quanta=len(centroids), warmup=2)
+    q._scaler = StandardScaler().fit(np.array([[-3.0, -2.0], [3.0, 2.0]]))
+    q._codebook = OnlineKMeans(n_clusters=len(centroids))
+    for c in centroids:
+        q._codebook.partial_fit(c)
+    return q
+
+
+class TestAssignNovelty:
+    """The fused search is the two separate calls, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        q = QuerySpaceQuantizer(n_quanta=4, max_quanta=8, warmup=16)
+        feed(q, two_cluster_stream(n=80, seed=11))
+        return q
+
+    @given(
+        st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False), min_size=3, max_size=3
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_two_call_answer(self, trained, vector):
+        fused = trained.assign_novelty(vector)
+        assert fused == two_call_answer(trained, vector)
+        assert fused == (trained.assign(vector), trained.novelty(vector))
+        assert type(fused[0]) is int and type(fused[1]) is float
+
+    def test_far_outside_the_training_range(self, trained):
+        for vector in ([1e12, -1e12, 1e9], [1e150, 0.0, 0.0], [-5e5, 7e5, 1e-9]):
+            assert trained.assign_novelty(vector) == two_call_answer(
+                trained, vector
+            )
+
+    def test_exact_tie_between_two_centroids_goes_to_the_first(self):
+        q = quantizer_with_centroids([[-1.0, 0.0], [1.0, 0.0], [0.0, 9.0]])
+        for y in (0.0, 0.5, -2.0):
+            probe = q._scaler.inverse_transform(np.array([[0.0, y]]))[0]
+            scaled = q._scale(probe)
+            distances = np.linalg.norm(
+                q._codebook.cluster_centers_ - scaled, axis=1
+            )
+            assert distances[0] == distances[1] == distances.min()
+            assert q.assign_novelty(probe) == two_call_answer(q, probe)
+            assert q.assign(probe) == 0
+
+    def test_not_warm(self):
+        q = QuerySpaceQuantizer(warmup=8)
+        q.observe([1.0, 2.0])
+        assert q.assign_novelty([1.0, 2.0]) == (0, float("inf"))
+        ids, novelty = q.assign_novelty_batch([[1.0, 2.0], [3.0, 4.0]])
+        assert ids.tolist() == [0, 0] and np.isinf(novelty).all()
+
+    def test_batch_rows_equal_single_calls_exactly(self, trained):
+        rng = np.random.default_rng(12)
+        x = np.vstack(
+            [
+                two_cluster_stream(n=10, seed=13),
+                rng.uniform(-1e6, 1e6, size=(20, 3)),
+            ]
+        )
+        ids, novelty = trained.assign_novelty_batch(x)
+        for i, row in enumerate(x):
+            assert (int(ids[i]), float(novelty[i])) == trained.assign_novelty(row)
+        assert np.array_equal(trained.novelty_batch(x), novelty)
+        assert np.array_equal(trained.assign_batch(x), ids)
+
+    def test_observe_scales_like_the_validator(self):
+        """``observe`` absorbs the same scaled vector the parent's did."""
+        ours = QuerySpaceQuantizer(n_quanta=3, warmup=8, grow_threshold=0.7)
+        stream = two_cluster_stream(n=40, seed=14)
+        ids = feed(ours, stream)
+        reference = OnlineKMeans(
+            n_clusters=3, grow_threshold=0.7, max_clusters=64
+        )
+        scaler = StandardScaler().fit(stream[:8])
+        for row in scaler.transform(stream[:8]):
+            reference.partial_fit(row)
+        expected = [
+            reference.partial_fit(scaler.transform(v.reshape(1, -1))[0])
+            for v in stream[8:]
+        ]
+        assert ids[8:] == expected
+        assert ours._codebook.cluster_centers_.tobytes() == np.asarray(
+            reference.centers
+        ).tobytes()
+
+    def test_wrong_length_vector_is_rejected_not_broadcast(self, trained):
+        for vector in ([1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+            with pytest.raises(ConfigurationError):
+                trained.assign_novelty(vector)
+
+    def test_no_caller_can_write_the_codebook(self, trained):
+        with pytest.raises(ValueError):
+            trained._codebook.cluster_centers_[0, 0] = 0.0
+        centroids = trained.centroids
+        centroids[0, 0] += 1.0  # a fresh inverse_transform: theirs to edit
+        assert trained.centroids[0, 0] != centroids[0, 0]

@@ -1,9 +1,18 @@
 """Unit tests for repro.ml.kmeans (batch and online)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.common.errors import ConfigurationError, NotTrainedError
 from repro.ml import KMeans, OnlineKMeans
@@ -137,3 +146,104 @@ class TestOnlineKMeans:
         for v in values:
             idx = model.partial_fit([v])
             assert 0 <= idx < model.n_active
+
+
+class CodebookMachine(RuleBasedStateMachine):
+    """The kept centroid matrix is the centroid list, whatever happened."""
+
+    vectors = st.lists(
+        st.floats(-20, 20, allow_nan=False), min_size=2, max_size=2
+    )
+
+    @initialize(grow=st.sampled_from([None, 4.0]))
+    def build(self, grow):
+        # ``None`` seeds the first three samples and then only updates;
+        # 4.0 grows on far samples, up to six centroids, and updates.
+        self.model = OnlineKMeans(
+            n_clusters=3, grow_threshold=grow, max_clusters=6, decay=0.95
+        )
+
+    @rule(v=vectors)
+    def partial_fit(self, v):
+        assert 0 <= self.model.partial_fit(v) < self.model.n_active
+
+    @precondition(lambda self: self.model.n_active)
+    @rule(data=st.data())
+    def remove(self, data):
+        self.model.remove(
+            data.draw(st.integers(0, self.model.n_active - 1), label="index")
+        )
+
+    @rule()
+    def pickle_round_trip(self):
+        blob = pickle.dumps(self.model)
+        assert b"_matrix" not in blob
+        self.model = pickle.loads(blob)
+
+    @precondition(lambda self: self.model.n_active)
+    @rule(v=vectors)
+    def search(self, v):
+        model = self.model
+        winner, distance = model.assign_distance(v)
+        assert winner == model.assign(v)
+        assert distance == model.distance_to(v, winner)
+        # ...and both are the parent's expressions on the plain list.
+        centers, point = np.asarray(model.centers), np.asarray(v, dtype=float)
+        assert winner == int(np.linalg.norm(centers - point, axis=1).argmin())
+        assert distance == float(np.linalg.norm(centers[winner] - point))
+
+    @invariant()
+    def matrix_is_the_list(self):
+        model = self.model
+        if not model.n_active:
+            with pytest.raises(NotTrainedError):
+                model.cluster_centers_
+            return
+        kept = model.cluster_centers_
+        assert kept.tobytes() == np.asarray(model.centers).tobytes()
+        assert kept.shape == (model.n_active, 2)
+        assert model.cluster_centers_ is kept
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0, 0] = 1.0
+
+
+CodebookMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)
+TestCodebookMachine = CodebookMachine.TestCase
+
+
+class TestKeptMatrix:
+    def test_blob_without_the_attribute_restores_and_predicts(self):
+        """The parent pickled a plain ``__dict__`` with no ``_matrix``."""
+        model = OnlineKMeans(n_clusters=2)
+        for v in ([0.0, 0.0], [10.0, 10.0], [9.0, 9.0]):
+            model.partial_fit(v)
+        model.cluster_centers_  # fills the kept matrix
+        assert "_matrix" in model.__dict__
+        state = model.__getstate__()
+        assert sorted(state) == [
+            "centers", "counts", "decay", "grow_threshold", "max_clusters",
+            "n_clusters",
+        ]
+        old = OnlineKMeans.__new__(OnlineKMeans)
+        old.__dict__.update(state)
+        restored = pickle.loads(pickle.dumps(old))
+        assert "_matrix" not in restored.__dict__
+        assert restored.assign([8.0, 8.0]) == 1
+        assert restored.assign_distance([8.0, 8.0]) == model.assign_distance(
+            [8.0, 8.0]
+        )
+        assert restored.partial_fit([0.5, 0.5]) == 0
+        assert restored.cluster_centers_[0].tolist() == [0.25, 0.25]
+
+    def test_a_reader_holding_the_old_matrix_keeps_its_bytes(self):
+        model = OnlineKMeans(n_clusters=2)
+        model.partial_fit([0.0])
+        model.partial_fit([10.0])
+        held = model.cluster_centers_
+        before = held.tobytes()
+        model.partial_fit([1.0])
+        assert held.tobytes() == before
+        assert model.cluster_centers_ is not held

@@ -1,5 +1,7 @@
 """Unit tests for repro.ml.linear."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,3 +139,95 @@ class TestPolynomialFeatures:
         model = LinearRegression().fit(polynomial_features(x, 2), y)
         pred = model.predict(polynomial_features(x, 2))
         assert r2_score(y, pred) > 0.999
+
+
+def nested_loop_features(x, degree=2, interaction=True):
+    """``polynomial_features`` as it was: pair columns from ``i < j`` loops."""
+    x = np.asarray(x, dtype=float)
+    columns = [x]
+    for power in range(2, degree + 1):
+        columns.append(x**power)
+    if interaction and x.shape[1] > 1 and degree >= 2:
+        n = x.shape[1]
+        pairs = [x[:, i] * x[:, j] for i in range(n) for j in range(i + 1, n)]
+        columns.append(np.stack(pairs, axis=1))
+    return np.hstack(columns)
+
+
+# Magnitudes 1e-6 ... 1e6, either sign: cubes stay finite, squares of the
+# small end are still normal numbers.
+_magnitudes = st.builds(
+    lambda sign, exponent, mantissa: sign * mantissa * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.integers(-6, 5),
+    st.floats(1.0, 10.0, allow_nan=False),
+)
+
+
+class TestPolynomialFeaturesAgainstNestedLoops:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda rows: st.integers(1, 8).flatmap(
+                lambda cols: st.lists(
+                    st.lists(_magnitudes, min_size=cols, max_size=cols),
+                    min_size=rows,
+                    max_size=rows,
+                )
+            )
+        ),
+        st.integers(1, 3),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal(self, rows, degree, interaction, with_nan):
+        x = np.array(rows)
+        if with_nan:
+            x[-1, 0] = np.nan
+        ours = polynomial_features(x, degree=degree, interaction=interaction)
+        theirs = nested_loop_features(x, degree, interaction)
+        assert ours.shape == theirs.shape
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+        assert ours.flags.c_contiguous and ours.flags.writeable
+
+    def test_every_shape_in_the_grid(self):
+        rng = np.random.default_rng(5)
+        for rows in range(1, 6):
+            for cols in range(1, 9):
+                x = rng.uniform(-1, 1, size=(rows, cols)) * 10.0 ** rng.integers(
+                    -6, 7, size=(rows, cols)
+                )
+                for degree in (1, 2, 3):
+                    for interaction in (True, False):
+                        assert polynomial_features(
+                            x, degree, interaction
+                        ).tobytes() == nested_loop_features(
+                            x, degree, interaction
+                        ).tobytes()
+
+    def test_one_row_of_a_batch_equals_that_row_alone(self):
+        x = np.random.default_rng(6).normal(scale=50.0, size=(512, 4))
+        batch = polynomial_features(x, 2)
+        assert batch.shape == (512, 4 + 4 + 6)
+        for i in (0, 17, 511):
+            assert batch[i].tobytes() == polynomial_features(x[i], 2).tobytes()
+
+    def test_pair_index_memo_is_shared_read_only_and_module_level(self):
+        from repro.ml import linear
+
+        left, right = linear._pair_columns(4)
+        assert left.tolist() == [0, 0, 0, 1, 1, 2]
+        assert right.tolist() == [1, 2, 3, 2, 3, 3]
+        assert linear._pair_columns(4)[0] is left
+        for index in (left, right):
+            with pytest.raises(ValueError):
+                index[0] = 3
+        # A fitted model carries coefficients, never the index memo.
+        model = RidgeRegression().fit(
+            polynomial_features(np.random.default_rng(7).normal(size=(20, 4))),
+            np.arange(20.0),
+        )
+        assert sorted(pickle.loads(pickle.dumps(model)).__dict__) == [
+            "alpha", "coef_", "intercept_",
+        ]

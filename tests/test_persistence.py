@@ -11,6 +11,7 @@ from repro.cluster import ClusterTopology, DistributedStore
 from repro.common.errors import ConfigurationError
 from repro.core import (
     AgentConfig,
+    AnswerModelFactory,
     SEAAgent,
     load_agent_models,
     load_predictor,
@@ -23,9 +24,10 @@ from repro.data import InterestProfile, WorkloadGenerator, gaussian_mixture_tabl
 from repro.queries import Count
 
 
-def trained_predictor(seed=0):
+def trained_predictor(seed=0, family="linear"):
     predictor = DatalessPredictor(
-        quantizer=QuerySpaceQuantizer(n_quanta=4, warmup=16)
+        quantizer=QuerySpaceQuantizer(n_quanta=4, warmup=16),
+        factory=AnswerModelFactory(family),
     )
     rng = np.random.default_rng(seed)
     for _ in range(120):
@@ -93,6 +95,59 @@ class TestPredictorRoundtrip:
         state = pickle.loads(pickle.dumps(predictor.errors)).__dict__
         assert state["_estimates"] == {}
         assert state["_residuals"] == predictor.errors._residuals
+
+    def test_kept_matrix_and_pair_memo_never_reach_a_blob(self):
+        """Derived state is rebuilt by its first reader, not shipped."""
+        predictor = trained_predictor(seed=6, family="quadratic")
+        codebook = predictor.quantizer._codebook
+        probe = np.array([5.0, 5.0])
+        predictor.predict(probe)  # the lazy refit is real state: do it first
+        codebook.__dict__.pop("_matrix", None)  # the parent commit's shape
+        cold = io.BytesIO()
+        save_predictor(predictor, cold)
+        before = predictor.predict(probe)  # fills matrix, memo, pair indices
+        assert "_matrix" in codebook.__dict__
+        warm = io.BytesIO()
+        save_predictor(predictor, warm)
+        assert warm.getvalue() == cold.getvalue()
+        for name in (b"_matrix", b"_pair_columns", b"triu"):
+            assert name not in warm.getvalue()
+
+        warm.seek(0)
+        restored = load_predictor(warm)
+        assert "_matrix" not in restored.quantizer._codebook.__dict__
+        after = restored.predict(probe)
+        assert after.value.tobytes() == before.value.tobytes()
+        assert (after.quantum_id, after.error_estimate, after.novelty) == (
+            before.quantum_id, before.error_estimate, before.novelty
+        )
+        # ...keeps learning (the codebook moves, the kept matrix follows)...
+        held = restored.quantizer._codebook.cluster_centers_
+        restored.observe(probe, 20.0)
+        predictor.observe(probe, 20.0)
+        assert restored.quantizer._codebook.cluster_centers_ is not held
+        assert (
+            restored.predict(probe).value.tobytes()
+            == predictor.predict(probe).value.tobytes()
+        )
+        # ...and re-saves: the second generation still answers as the twin.
+        again = io.BytesIO()
+        save_predictor(restored, again)
+        assert b"_matrix" not in again.getvalue()
+        again.seek(0)
+        assert (
+            load_predictor(again).predict(probe).value.tobytes()
+            == predictor.predict(probe).value.tobytes()
+        )
+
+    def test_state_bytes_do_not_count_the_kept_matrix(self):
+        predictor = trained_predictor(seed=7)
+        quantizer = predictor.quantizer
+        quantizer._codebook.__dict__.pop("_matrix", None)
+        cold = predictor.state_bytes()
+        predictor.predict([5.0, 5.0])
+        assert predictor.state_bytes() == cold
+        assert quantizer.state_bytes() == quantizer.n_quanta * (2 * 8 + 8)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.sea"
