@@ -35,10 +35,9 @@ def run_scalability():
             # rides along in the machine-readable result.
             agent.attach_observer(StackObserver())
         workload = standard_workload(table)
-        for query in workload.batch(700):
-            agent.submit(query)
-        exact = [r.cost for r in agent.history if r.mode != "predicted"]
-        predicted = [r.cost for r in agent.history if r.mode == "predicted"]
+        records = [agent.submit(query) for query in workload.batch(700)]
+        exact = [r.cost for r in records if r.mode != "predicted"]
+        predicted = [r.cost for r in records if r.mode == "predicted"]
         if not predicted:
             continue
         rows.append(

@@ -28,9 +28,11 @@ def evaluate(aggregate, aggregate_label):
             AgentConfig(training_budget=budget, error_threshold=0.2),
         )
         workload = standard_workload(table, aggregate=aggregate, seed=7)
-        for query in workload.batch(budget + EVAL_QUERIES):
+        records = [
             agent.submit(query)
-        served = [r for r in agent.history[budget:] if r.mode == "predicted"]
+            for query in workload.batch(budget + EVAL_QUERIES)
+        ]
+        served = [r for r in records[budget:] if r.mode == "predicted"]
         errors = []
         for record in served:
             truth = record.query.evaluate(table)

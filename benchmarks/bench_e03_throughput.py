@@ -51,14 +51,15 @@ N_TRIALS = 3
 
 
 def _warmed_agent(store, warm_queries):
-    """A converged agent: trained on the warm wave, learning frozen."""
+    """A converged agent (trained on the warm wave, learning frozen)
+    and the warm wave's records — the agent itself keeps none."""
     agent = SEAAgent(
         ExactEngine(store),
         AgentConfig(training_budget=TRAINING_BUDGET, error_threshold=0.2),
     )
-    agent.submit_batch(warm_queries)
+    records = agent.submit_batch(warm_queries)
     agent.config.keep_learning_on_fallback = False
-    return agent
+    return agent, records
 
 
 def _predict_us(agent, queries, calls=2000):
@@ -86,10 +87,10 @@ def run_throughput():
     serve_queries = workload.batch(N_QUERIES)
 
     sequential_qps, batched_qps = [], []
-    reference = None
+    reference = history = None
     for _ in range(N_TRIALS):
-        agent_seq = _warmed_agent(store, warm_queries)
-        agent_bat = _warmed_agent(store, warm_queries)
+        agent_seq, warm_records = _warmed_agent(store, warm_queries)
+        agent_bat, _ = _warmed_agent(store, warm_queries)
         gc.collect()
         gc.disable()
         try:
@@ -110,12 +111,11 @@ def run_throughput():
             assert a.cost.__dict__ == b.cost.__dict__
         sequential_qps.append(N_QUERIES / seq_sec)
         batched_qps.append(N_QUERIES / bat_sec)
-        reference = agent_seq
+        reference, history = agent_seq, warm_records + seq_records
     predict_us = _predict_us(reference, serve_queries)
 
     # Service demands for the M/D/c capacity model come from the full
-    # lifecycle history (train + serve) of the last sequential agent.
-    history = reference.history
+    # lifecycle (train + serve) records of the last sequential agent.
     exact_demand = float(
         np.mean([r.cost.node_sec for r in history if r.mode != "predicted"])
     )

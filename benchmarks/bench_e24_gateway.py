@@ -155,7 +155,7 @@ def _sequential_open_loop(schedule, service_seconds):
 async def _drive(gateway, schedule):
     """Fire the schedule open-loop at the gateway; gather outcomes."""
     recorder = LatencyRecorder()
-    answers = {}
+    answers = []
     start = time.monotonic()
 
     async def fire(req):
@@ -173,7 +173,7 @@ async def _drive(gateway, schedule):
             return
         done = time.monotonic()
         recorder.ok(done - issued, done <= start + req.deadline)
-        answers[id(req.payload)] = answer
+        answers.append(answer)
 
     async with gateway:
         await asyncio.gather(*(fire(req) for req in schedule))
@@ -182,18 +182,25 @@ async def _drive(gateway, schedule):
     return recorder, answers, makespan, stats
 
 
-def _assert_byte_identity(session, gateway, warm_queries, answers):
-    """Gateway answers == sequential replay in gateway serving order."""
+def _assert_byte_identity(session, warm_queries, answers):
+    """Gateway answers == sequential replay in gateway serving order.
+
+    The gateway keeps no log of what it served: each answer carries its
+    tenant agent's ``served_seq``, offset here by the warm wave.
+    """
     for tenant in TENANTS:
-        handle = gateway.tenant(tenant)
-        if not handle.served_queries:
+        served = sorted(
+            (a for a in answers if a.tenant == tenant),
+            key=lambda a: a.served_seq,
+        )
+        if not served:
             continue
         reference = _warm(
             SEAAgent(session.engine, _agent_config()), warm_queries
         )
-        for query in handle.served_queries:
-            expected = reference.submit(query)
-            got = answers[id(query)]
+        for position, got in enumerate(served, start=len(warm_queries)):
+            assert got.served_seq == position, (tenant, got.served_seq)
+            expected = reference.submit(got.query)
             assert got.mode == expected.mode, (tenant, got.mode, expected.mode)
             assert np.array_equal(
                 np.asarray(got.value, dtype=float),
@@ -251,7 +258,7 @@ def _run_rate(session, workload, warm_queries, factor, seed):
     if paced:
         paced.extend(_paced_direct(session, warm_queries, schedule))
     paced_p50 = float(np.percentile(paced, 50)) if paced else 0.0
-    _assert_byte_identity(session, gateway, warm_queries, answers)
+    _assert_byte_identity(session, warm_queries, answers)
 
     # Bracket the simulated baseline the same way the paced one is:
     # re-measure direct service *after* the gateway phase and average

@@ -15,7 +15,7 @@ Walks DESIGN §14's front door end to end on a live session:
    deadlines converts overload into ``AdmissionRejectedError``\\ s whose
    ``reason`` tells the client *what* to do about it;
 5. the byte-identity check: every answer the gateway returned equals a
-   fresh sequential agent replaying the tenant's served queries.
+   fresh sequential agent replaying them in ``served_seq`` order.
 
 Run:  python examples/gateway_tour.py
 """
@@ -64,8 +64,11 @@ async def tour():
         agent_config=config,
     )
     async with gateway:
+        # The gateway keeps no log of what it served: part 5 replays
+        # from the answers kept here.
+        alice_answers = []
         for query in workload.batch(120):
-            await gateway.submit(query, tenant="alice")
+            alice_answers.append(await gateway.submit(query, tenant="alice"))
             await gateway.submit(query, tenant="bob")
         alice, bob = gateway.tenant("alice"), gateway.tenant("bob")
         print(f"  alice: {alice.served_total} served, "
@@ -77,6 +80,7 @@ async def tour():
         answer = await gateway.submit(
             workload.next_query(), tenant="alice", timeout=1.0
         )
+        alice_answers.append(answer)
         stats = gateway.stats()
         print(f"  mode={answer.mode} batched={answer.batched} "
               f"(inline so far: {stats['inline_total']} of "
@@ -94,6 +98,7 @@ async def tour():
         answers = await gateway.submit_many(
             burst, tenant="alice", timeout=5.0
         )
+        alice_answers.extend(answers)
         sizes = sorted({a.batch_size for a in answers})
         stats = gateway.stats()
         print(f"  48 concurrent requests -> {stats['batches_total']} "
@@ -130,28 +135,18 @@ async def tour():
         reference = SEAAgent(session.engine, AgentConfig(
             training_budget=60, error_threshold=0.25
         ))
-        records = [reference.submit(q) for q in alice.served_queries]
-        checked = 0
-        for record in records:
-            assert np.asarray(record.answer) is not None
-            checked += 1
-        # Spot-check the tail of the stream against the gateway answers
-        # from the burst (submit_many returns input order; the replay
-        # log is serving order, so align by query object).
-        by_query = {id(r.query): r for r in records}
-        mismatches = sum(
-            0
-            if (
-                answers[i].mode == by_query[id(answers[i].query)].mode
-                and np.array_equal(
-                    np.asarray(answers[i].value),
-                    np.asarray(by_query[id(answers[i].query)].answer),
-                )
-            )
-            else 1
-            for i in range(len(answers))
-        )
-        print(f"  replayed {checked} queries; burst mismatches: "
+        # submit_many returns input order; ``served_seq`` on each answer
+        # is the order alice's agent actually served them in.
+        served = sorted(alice_answers, key=lambda a: a.served_seq)
+        assert [a.served_seq for a in served] == list(range(len(served)))
+        mismatches = 0
+        for answer in served:
+            record = reference.submit(answer.query)
+            if answer.mode != record.mode or not np.array_equal(
+                np.asarray(answer.value), np.asarray(record.answer)
+            ):
+                mismatches += 1
+        print(f"  replayed {len(served)} queries; mismatches: "
               f"{mismatches} (byte-identical: {mismatches == 0})")
 
     print("\ngateway closed; session closed:", session.closed)

@@ -52,9 +52,11 @@ def main():
     )
 
     # 4. Replay 1200 analytical queries through the agent.
-    errors = []
+    #    The agent keeps counters, not records: keep what submit returns.
+    errors, records = [], []
     for query in workload.batch(1200):
         record = agent.submit(query)
+        records.append(record)
         if record.mode == "predicted":
             truth = query.evaluate(table)
             errors.append(abs(record.answer - truth) / max(truth, 1.0))
@@ -73,16 +75,16 @@ def main():
               f"median {np.median(errors):.1%}, p90 {np.quantile(errors, 0.9):.1%}")
 
     exact_cost = np.mean(
-        [r.cost.elapsed_sec for r in agent.history if r.mode != "predicted"]
+        [r.cost.elapsed_sec for r in records if r.mode != "predicted"]
     )
     dataless_cost = np.mean(
-        [r.cost.elapsed_sec for r in agent.history if r.mode == "predicted"]
+        [r.cost.elapsed_sec for r in records if r.mode == "predicted"]
     )
     print(f"\nper-query simulated latency: exact {exact_cost * 1e3:.1f} ms, "
           f"data-less {dataless_cost * 1e3:.2f} ms "
           f"({exact_cost / dataless_cost:.0f}x)")
     nodes = {
-        r.cost.nodes_touched for r in agent.history if r.mode == "predicted"
+        r.cost.nodes_touched for r in records if r.mode == "predicted"
     }
     print(f"data nodes touched by data-less answers: {sorted(nodes)}")
 

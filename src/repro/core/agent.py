@@ -75,7 +75,9 @@ class ServedQuery:
     """Record of how one query was served.
 
     ``profile`` is the query's flight record (EXPLAIN ANALYZE tree);
-    populated only while an observer is attached.
+    populated only while an observer is attached.  ``served_seq`` is the
+    record's position in its agent's serving order (0, 1, 2, ...); the
+    agent keeps no record, so a replay sorts the caller's own by this.
     """
 
     query: AnalyticsQuery
@@ -84,6 +86,7 @@ class ServedQuery:
     cost: CostReport
     prediction: Optional[Prediction] = None
     profile: Optional[QueryProfile] = None
+    served_seq: int = 0
 
     @property
     def used_base_data(self) -> bool:
@@ -106,8 +109,14 @@ class SEAAgent:
         self._drift: Dict[str, DriftDetector] = {}
         self.anomaly = AccuracyDriftMonitor()
         self.updates = DataUpdateMonitor()
-        self.history: List[ServedQuery] = []
         self.n_queries = 0
+        # Running totals over every record returned (see _finish).
+        self.n_served = 0
+        self.n_predicted = 0
+        self.n_fallback = 0
+        self.bytes_scanned_total = 0.0
+        self.exact_seconds_total = 0.0
+        self.predicted_seconds_total = 0.0
         self._idle_cost: Optional[CostReport] = None  # see _agent_cost
         self.cache: Optional[AnswerCache] = (
             AnswerCache(self.config.answer_cache_size)
@@ -133,33 +142,9 @@ class SEAAgent:
                 "query", category="query", signature=query.signature()
             ):
                 record = self._serve(query)
-            obs.inc("sea_queries_total", mode=record.mode)
-            obs.observe("sea_query_latency_seconds", record.cost.elapsed_sec)
-            error = (
-                record.prediction.error_estimate
-                if record.prediction is not None
-                else None
-            )
-            obs.event(
-                record.mode,  # "train" | "predicted" | "fallback"
-                signature=query.signature(),
-                error_estimate=error,
-                elapsed_sec=record.cost.elapsed_sec,
-                bytes_scanned=record.cost.bytes_scanned,
-                nodes_touched=record.cost.nodes_touched,
-            )
-            record.profile = obs.profile_end(
-                query,
-                mode=record.mode,
-                cost=record.cost,
-                answer=record.answer,
-                prediction=record.prediction,
-                error_threshold=self.config.error_threshold,
-            )
         else:
             record = self._serve(query)
-        self.history.append(record)
-        return record
+        return self._finish(record)
 
     # Batched serving ---------------------------------------------------------
     def submit_batch(self, queries) -> List[ServedQuery]:
@@ -187,34 +172,49 @@ class SEAAgent:
         else:
             records = self._submit_batch_inner(queries)
         for record in records:
-            if obs.enabled:
-                obs.inc("sea_queries_total", mode=record.mode)
-                obs.observe(
-                    "sea_query_latency_seconds", record.cost.elapsed_sec
-                )
-                error = (
-                    record.prediction.error_estimate
-                    if record.prediction is not None
-                    else None
-                )
-                obs.event(
-                    record.mode,
-                    signature=record.query.signature(),
-                    error_estimate=error,
-                    elapsed_sec=record.cost.elapsed_sec,
-                    bytes_scanned=record.cost.bytes_scanned,
-                    nodes_touched=record.cost.nodes_touched,
-                )
-                record.profile = obs.profile_end(
-                    record.query,
-                    mode=record.mode,
-                    cost=record.cost,
-                    answer=record.answer,
-                    prediction=record.prediction,
-                    error_threshold=self.config.error_threshold,
-                )
-            self.history.append(record)
+            self._finish(record)
         return records
+
+    def _finish(self, record: ServedQuery) -> ServedQuery:
+        """The recording tail of both submit paths: tell the observer,
+        stamp ``served_seq``, fold the record into the running totals.
+        The record is then the caller's alone — the agent keeps no
+        reference to it, so its state does not grow with the requests."""
+        obs = self.observer
+        cost = record.cost
+        if obs.enabled:
+            prediction = record.prediction
+            obs.inc("sea_queries_total", mode=record.mode)
+            obs.observe("sea_query_latency_seconds", cost.elapsed_sec)
+            obs.event(
+                record.mode,  # "train" | "predicted" | "fallback"
+                signature=record.query.signature(),
+                error_estimate=(
+                    prediction.error_estimate if prediction is not None else None
+                ),
+                elapsed_sec=cost.elapsed_sec,
+                bytes_scanned=cost.bytes_scanned,
+                nodes_touched=cost.nodes_touched,
+            )
+            record.profile = obs.profile_end(
+                record.query,
+                mode=record.mode,
+                cost=cost,
+                answer=record.answer,
+                prediction=prediction,
+                error_threshold=self.config.error_threshold,
+            )
+        record.served_seq = self.n_served
+        self.n_served += 1
+        self.bytes_scanned_total += cost.bytes_scanned
+        if record.mode == "predicted":
+            self.n_predicted += 1
+            self.predicted_seconds_total += cost.elapsed_sec
+        else:
+            if record.mode == "fallback":
+                self.n_fallback += 1
+            self.exact_seconds_total += cost.elapsed_sec
+        return record
 
     def _submit_batch_inner(self, queries: List[AnalyticsQuery]) -> List[ServedQuery]:
         n_train = max(
@@ -683,16 +683,14 @@ class SEAAgent:
             self.cache.invalidate_signature(signature)
 
     def stats(self) -> Dict[str, float]:
-        """Aggregate serving statistics over the agent's history."""
-        total = len(self.history)
-        predicted = sum(1 for r in self.history if r.mode == "predicted")
-        fallback = sum(1 for r in self.history if r.mode == "fallback")
+        """Aggregate serving statistics over everything served so far."""
+        total = self.n_served
         stats = {
             "queries": float(total),
-            "predicted": float(predicted),
-            "fallback": float(fallback),
-            "trained": float(total - predicted - fallback),
-            "dataless_fraction": predicted / total if total else 0.0,
+            "predicted": float(self.n_predicted),
+            "fallback": float(self.n_fallback),
+            "trained": float(total - self.n_predicted - self.n_fallback),
+            "dataless_fraction": self.n_predicted / total if total else 0.0,
             "state_bytes": float(self.state_bytes()),
         }
         if self.cache is not None:

@@ -154,11 +154,19 @@ class DeltaPartition:
         return self.base_rows - self.n_deleted
 
     # Mutation --------------------------------------------------------------
-    def append(self, piece: Table, lsn: int) -> None:
-        """Fold ``piece`` onto the memtable tail."""
-        if piece.n_rows == 0:
+    def append(
+        self, piece: Table, lsn: int, start: int = 0, stop: Optional[int] = None
+    ) -> None:
+        """Fold rows ``[start, stop)`` of ``piece`` (default: all of it)
+        onto the memtable tail; an empty range stages nothing."""
+        if stop is None:
+            stop = piece.n_rows
+        if start == stop:
             return
-        self.rows = piece if self.rows is None else self.rows.appended(piece)
+        if self.rows is None:
+            self.rows = piece.slice_rows(start, stop)
+        else:
+            self.rows = self.rows.appended(piece, start, stop)
         self._stamp(lsn)
 
     def delete(self, effective_mask: np.ndarray, lsn: int) -> int:

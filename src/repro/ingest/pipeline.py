@@ -414,17 +414,19 @@ class IngestPipeline:
         return lsn
 
     def _apply_append(self, stored, rows: Table, lsn: int) -> None:
-        pieces = rows.split(len(stored.partitions))
-        for partition, piece in zip(stored.partitions, pieces):
-            if piece.n_rows == 0:
-                continue
-            self._stage_append(partition, piece, lsn)
+        bounds = rows.split_bounds(len(stored.partitions))
+        for partition, start, stop in zip(stored.partitions, bounds, bounds[1:]):
+            if start < stop:
+                self._stage_append(partition, rows, start, stop, lsn)
         self._box_union(stored.name, rows)
 
-    def _stage_append(self, partition, piece: Table, lsn: int) -> None:
+    def _stage_append(
+        self, partition, rows: Table, start: int, stop: int, lsn: int
+    ) -> None:
+        """Stage ``rows[start:stop]``: a range, not a table per partition."""
         delta = partition.delta
         before = delta.n_bytes
-        delta.append(piece, lsn)
+        delta.append(rows, lsn, start, stop)
         self.store.account_delta_bytes(partition, delta.n_bytes - before)
 
     def _stage_delete(self, partition, mask: np.ndarray, lsn: int) -> int:
@@ -637,15 +639,15 @@ class IngestPipeline:
                 name=name,
                 value_bytes=payload["value_bytes"],
             )
-            pieces = rows.split(len(stored.partitions))
+            bounds = rows.split_bounds(len(stored.partitions))
             touched = False
-            for partition, piece in zip(stored.partitions, pieces):
-                if piece.n_rows == 0:
+            for partition, start, stop in zip(stored.partitions, bounds, bounds[1:]):
+                if start == stop:
                     continue
                 checkpoint = self._checkpoints[(name, partition.index)]
                 if record.lsn <= checkpoint.applied_lsn:
                     continue
-                self._stage_append(partition, piece, record.lsn)
+                self._stage_append(partition, rows, start, stop, record.lsn)
                 touched = True
             if touched:
                 self._box_union(name, rows)

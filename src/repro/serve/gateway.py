@@ -34,8 +34,9 @@ The serving pipeline, in order:
 
 Byte-identity contract: for each tenant, the answers the gateway
 returned equal a fresh sequential agent over the same store serving
-``handle.served_queries`` (the gateway's serving order) — E24 asserts
-this on every trial.
+those answers' queries in ``served_seq`` order (the gateway's serving
+order, stamped on each answer: the gateway keeps no log of what it
+served) — E24 asserts this on every trial.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ class GatewayAnswer:
     queued_sec: float
     service_sec: float
     profile: object = None
+    #: Position in the tenant agent's serving order (``ServedQuery``).
+    served_seq: int = 0
 
 
 @dataclass
@@ -571,6 +574,7 @@ class ServingGateway:
             queued_sec=queued_sec,
             service_sec=host_sec / batch_size,
             profile=record.profile,
+            served_seq=record.served_seq,
         )
 
     def _note_served(

@@ -38,10 +38,6 @@ class TenantHandle:
         # others through a shared mutable dataclass.
         self.config = replace(config) if config is not None else AgentConfig()
         self.agent = SEAAgent(engine, self.config)
-        #: Queries in the order this tenant's agent actually served them
-        #: — the replay log the byte-identity contract is checked against
-        #: (gateway answers == a fresh sequential session fed this list).
-        self.served_queries: List = []
         self.served_total = 0
         self.batches_total = 0
 
@@ -51,10 +47,10 @@ class TenantHandle:
         Runs on the gateway's single serving thread; a singleton batch
         uses the agent's direct ``submit`` (no batch bookkeeping at all)
         and larger batches the PR-2 ``submit_batch`` path — both are
-        byte-identical to sequential submits in this order.
+        byte-identical to sequential submits in this order, which each
+        record carries away as its ``served_seq`` (nothing is kept here).
         """
         queries = [request.query for request in requests]
-        self.served_queries.extend(queries)
         self.served_total += len(queries)
         self.batches_total += 1
         if len(queries) == 1:

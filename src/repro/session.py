@@ -18,7 +18,8 @@ The session owns a simulated cluster, a store, the exact engine and one
 SEA agent; it exposes SQL in, answers out, with per-query provenance and
 cumulative savings statistics.  ``session.explain(sql)`` plans a query
 without executing it; ``session.health()`` summarises SLO burn rates and
-accuracy-drift anomalies over everything served so far.
+accuracy-drift anomalies over what was served since monitoring began.
+The session keeps counters, never the answers it handed out.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
 
 from repro.baselines.exact import ExactEngine
 from repro.cluster.storage import DistributedStore
@@ -406,17 +405,15 @@ class SEASession:
     def attach_slo(self, policy: Optional[SLOPolicy] = None) -> SLOMonitor:
         """Start (or replace) SLO monitoring for this session.
 
-        Everything already served replays into the fresh monitor in
-        submission order on the same simulated clock, so attaching late
-        loses no history.
+        The fresh monitor sees what is served from now on: the session
+        keeps no record of earlier answers to replay, so attach before
+        the workload that should be held to the policy.
         """
         self.slo = SLOMonitor(policy or SLOPolicy())
-        for record in self.agent.history:
-            self.slo.record(record)
         return self.slo
 
     def health(self) -> Dict[str, object]:
-        """Rolling SLO + accuracy-drift health for everything served.
+        """Rolling SLO + accuracy-drift health since monitoring began.
 
         Lazily attaches a default :class:`SLOPolicy` when none is
         configured.  The snapshot carries per-class burn rates and
@@ -453,30 +450,20 @@ class SEASession:
     def stats(self) -> Dict[str, float]:
         """Serving statistics plus cumulative resource savings.
 
-        ``estimated_seconds_saved`` and ``bytes_scanned_total`` are always
-        present (0.0 on an empty history), so downstream tabulation never
-        has to guard against missing keys.  When an observer is attached,
-        its flat metrics snapshot (span/event volumes, charge counters,
-        latency quantiles) is merged in under its exposition names.
+        ``estimated_seconds_saved`` and ``bytes_scanned_total`` come from
+        the agent's running totals and are always present (0.0 before the
+        first query), so tabulation never guards against missing keys.
+        An attached observer's flat metrics snapshot (span/event volumes,
+        charge counters, latency quantiles) is merged in under its names.
         """
-        stats = self.agent.stats()
-        stats["estimated_seconds_saved"] = 0.0
-        stats["bytes_scanned_total"] = 0.0
-        history = self.agent.history
-        if history:
-            exact_costs = [
-                r.cost.elapsed_sec for r in history if r.mode != "predicted"
-            ]
-            mean_exact = float(np.mean(exact_costs)) if exact_costs else 0.0
-            saved = sum(
-                mean_exact - r.cost.elapsed_sec
-                for r in history
-                if r.mode == "predicted"
-            )
-            stats["estimated_seconds_saved"] = float(max(0.0, saved))
-            stats["bytes_scanned_total"] = float(
-                sum(r.cost.bytes_scanned for r in history)
-            )
+        agent = self.agent
+        stats = agent.stats()
+        n_exact = agent.n_served - agent.n_predicted
+        mean_exact = agent.exact_seconds_total / n_exact if n_exact else 0.0
+        stats["estimated_seconds_saved"] = float(max(
+            0.0, agent.n_predicted * mean_exact - agent.predicted_seconds_total
+        ))
+        stats["bytes_scanned_total"] = float(agent.bytes_scanned_total)
         if self.observer is not None and self.observer.enabled:
             snapshot = getattr(self.observer, "snapshot", None)
             if callable(snapshot):

@@ -24,6 +24,13 @@ def world():
 
 
 def run_agent(world, n_queries=1000, seed=3, **config_kwargs):
+    agent, table, _ = run_records(world, n_queries, seed, **config_kwargs)
+    return agent, table
+
+
+def run_records(world, n_queries=1000, seed=3, **config_kwargs):
+    """``(agent, table, records)``: the agent keeps none of what it
+    served, so tests that read the records collect what submit returns."""
     store, table, profile = world
     defaults = dict(training_budget=400, error_threshold=0.15)
     defaults.update(config_kwargs)
@@ -31,36 +38,35 @@ def run_agent(world, n_queries=1000, seed=3, **config_kwargs):
     workload = WorkloadGenerator(
         "data", ("x0", "x1"), profile, aggregate=Count(), seed=seed
     )
-    for query in workload.batch(n_queries):
-        agent.submit(query)
-    return agent, table
+    records = [agent.submit(query) for query in workload.batch(n_queries)]
+    return agent, table, records
 
 
 class TestLifecycle:
     def test_training_phase_goes_to_engine(self, world):
-        agent, _ = run_agent(world, n_queries=100)
-        assert all(r.mode == "train" for r in agent.history)
-        assert all(r.used_base_data for r in agent.history)
+        _, _, records = run_records(world, n_queries=100)
+        assert all(r.mode == "train" for r in records)
+        assert all(r.used_base_data for r in records)
 
     def test_serving_phase_produces_dataless_answers(self, world):
-        agent, _ = run_agent(world)
-        modes = {r.mode for r in agent.history}
+        agent, _, records = run_records(world)
+        modes = {r.mode for r in records}
         assert "predicted" in modes
         stats = agent.stats()
         assert stats["dataless_fraction"] > 0.05
 
     def test_predicted_answers_touch_no_data_nodes(self, world):
-        agent, _ = run_agent(world)
-        for record in agent.history:
+        _, _, records = run_records(world)
+        for record in records:
             if record.mode == "predicted":
                 assert record.cost.bytes_scanned == 0
                 assert record.cost.tasks_launched == 0
                 assert not record.used_base_data
 
     def test_predicted_answers_are_accurate(self, world):
-        agent, table = run_agent(world)
+        _, table, records = run_records(world)
         errors = []
-        for record in agent.history:
+        for record in records:
             if record.mode == "predicted":
                 truth = record.query.evaluate(table)
                 errors.append(abs(record.answer - truth) / max(abs(truth), 1.0))
@@ -68,12 +74,12 @@ class TestLifecycle:
         assert np.median(errors) < 0.15
 
     def test_predicted_latency_far_below_exact(self, world):
-        agent, _ = run_agent(world)
+        _, _, records = run_records(world)
         predicted = [
-            r.cost.elapsed_sec for r in agent.history if r.mode == "predicted"
+            r.cost.elapsed_sec for r in records if r.mode == "predicted"
         ]
         exact = [
-            r.cost.elapsed_sec for r in agent.history if r.mode != "predicted"
+            r.cost.elapsed_sec for r in records if r.mode != "predicted"
         ]
         assert np.mean(predicted) < np.mean(exact) / 100
 
@@ -121,15 +127,15 @@ class TestPerAggregatePredictors:
 
 class TestDataUpdates:
     def test_notify_data_update_invalidates_overlapping(self, world):
-        agent, table = run_agent(world)
+        agent, table, records = run_records(world)
         before = sum(
             agent.predictor(r.query).model_for(q).n_samples
-            for r in agent.history[:1]
+            for r in records[:1]
             for q in agent.predictor(r.query).quantum_ids()
         )
         invalidated = agent.notify_data_update("data", [0.0, 0.0], [100.0, 100.0])
         assert invalidated > 0
-        predictor = agent.predictor(agent.history[0].query)
+        predictor = agent.predictor(records[0].query)
         assert all(
             predictor.model_for(q).n_samples == 0
             for q in predictor.quantum_ids()

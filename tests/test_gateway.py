@@ -33,8 +33,8 @@ from repro.serve.batcher import BARREN_LIMIT, PROBE_EVERY
 from repro.session import SEASession
 
 
-def make_session(n_rows=3000, seed=7):
-    session = SEASession(n_nodes=4)
+def make_session(n_rows=3000, seed=7, config=None):
+    session = SEASession(n_nodes=4, config=config)
     table = gaussian_mixture_table(
         n_rows, dims=("x0", "x1"), seed=seed, name="data"
     )
@@ -99,6 +99,17 @@ def assert_records_identical(answers, reference_records):
             np.asarray(answer.value), np.asarray(record.answer)
         )
         assert answer.cost.__dict__ == record.cost.__dict__
+
+
+def serving_order(answers):
+    """One tenant's answers in the order its agent served them.
+
+    The gateway keeps no log of what it served; ``served_seq`` on each
+    answer is the order, gapless from 0 for an agent only it drives.
+    """
+    ordered = sorted(answers, key=lambda a: a.served_seq)
+    assert [a.served_seq for a in ordered] == list(range(len(ordered)))
+    return ordered
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +423,10 @@ class TestServingGateway:
         stats = gateway.stats()
         assert stats["served_total"] == 40
         assert stats["inline_total"] == 40  # sequential awaits never queue
-        handle = gateway.tenant("alice")
+        # Sequential awaits: the serving order is the submission order.
+        assert [a.served_seq for a in answers] == list(range(40))
         reference = SEAAgent(session.engine, agent_config())
-        records = [reference.submit(q) for q in handle.served_queries]
+        records = [reference.submit(a.query) for a in answers]
         assert_records_identical(answers, records)
         session.close()
 
@@ -435,15 +447,12 @@ class TestServingGateway:
         assert stats["served_total"] == 32
         assert stats["coalesced_total"] > 0
         assert stats["batches_total"] < 32
-        handle = gateway.tenant("alice")
-        reference = SEAAgent(session.engine, agent_config())
-        by_query = {}
-        position = {id(q): i for i, q in enumerate(handle.served_queries)}
-        records = reference.submit_batch(handle.served_queries)
         # submit_many returns answers in input order; replay in the
-        # gateway's actual serving order, then realign.
-        realigned = [records[position[id(a.query)]] for a in answers]
-        assert_records_identical(answers, realigned)
+        # gateway's actual serving order.
+        served = serving_order(answers)
+        reference = SEAAgent(session.engine, agent_config())
+        records = reference.submit_batch([a.query for a in served])
+        assert_records_identical(served, records)
         session.close()
 
     def test_deadline_shed_while_queued_uses_injected_clock(
@@ -642,11 +651,14 @@ class TestServingGateway:
         # ...and the gateway kept serving: the retry round all succeeded
         # and stayed byte-identical to a sequential replay.
         assert all(not isinstance(r, Exception) for r in second)
+        # (The failed batch never reached the agent: no sequence number
+        # was spent on it.)
+        served = serving_order(
+            [r for r in first + second if not isinstance(r, Exception)]
+        )
         reference = SEAAgent(session.engine, agent_config())
-        position = {id(q): i for i, q in enumerate(handle.served_queries)}
-        records = reference.submit_batch(handle.served_queries)
-        realigned = [records[position[id(a.query)]] for a in second]
-        assert_records_identical(second, realigned)
+        records = reference.submit_batch([a.query for a in served])
+        assert_records_identical(served, records)
         session.close()
 
     def test_rebinding_to_a_different_loop_is_refused(self, event_loop):
@@ -780,6 +792,17 @@ class TestRepeatedStatements:
             session, GatewayConfig(), agent_config=agent_config(), own_session=False
         )
         gateway.batcher = FakeBatcher(window=0.0, target=1)
+        # The agent's own records (predictions included), kept here
+        # because nothing in the gateway keeps them.
+        handle = gateway.tenant("alice")
+        serve, records = handle.serve, []
+
+        def keeping_serve(requests):
+            served = serve(requests)
+            records.extend(served)
+            return served
+
+        handle.serve = keeping_serve
 
         async def run():
             answers = []
@@ -790,9 +813,8 @@ class TestRepeatedStatements:
             return answers
 
         answers = event_loop.run_until_complete(run())
-        history = list(gateway.tenant("alice").agent.history)
         session.close()
-        return answers, history
+        return answers, records
 
     def test_warm_and_cleared_memo_serve_identically(self, event_loop):
         distinct = [as_sql(q) for q in make_workload().batch(60)]
@@ -890,15 +912,13 @@ class TestOutcomeDrivenWindow:
             own_session=False,
         )
 
-    def _assert_replays(self, session, gateway, answers, tenant="alice"):
-        handle = gateway.tenant(tenant)
+    def _assert_replays(self, session, answers):
+        served = serving_order(answers)
         reference = SEAAgent(
             session.engine, agent_config(training_budget=100_000)
         )
-        records = reference.submit_batch(handle.served_queries)
-        position = {id(q): i for i, q in enumerate(handle.served_queries)}
-        realigned = [records[position[id(a.query)]] for a in answers]
-        assert_records_identical(answers, realigned)
+        records = reference.submit_batch([a.query for a in served])
+        assert_records_identical(served, records)
 
     def test_lone_back_to_back_caller_is_served_inline(self, event_loop):
         session = make_session()
@@ -937,7 +957,7 @@ class TestOutcomeDrivenWindow:
                 assert answer.queued_sec == 0.0
             assert answer.batch_size == 1
         assert stats["coalesced_total"] == 0
-        self._assert_replays(session, gateway, answers)
+        self._assert_replays(session, answers)
         session.close()
 
     def test_concurrent_callers_still_coalesce(self, event_loop):
@@ -965,7 +985,7 @@ class TestOutcomeDrivenWindow:
         assert stats["coalesced_total"] > 64
         # Company at every decision: the gate never shut.
         assert stats["batcher"]["barren_windows"] < BARREN_LIMIT
-        self._assert_replays(session, gateway, answers)
+        self._assert_replays(session, answers)
         session.close()
 
     def test_window_ends_the_moment_the_target_batch_is_queued(
@@ -1010,7 +1030,7 @@ class TestOutcomeDrivenWindow:
         assert [a.batch_size for a in answers] == [4] * (4 * rounds)
         # Five 3 s windows, none sat out: the whole run fits inside one.
         assert elapsed < 3.0
-        self._assert_replays(session, gateway, answers)
+        self._assert_replays(session, answers)
         session.close()
 
     def test_lone_caller_joined_by_a_burst_is_batched_again(self, event_loop):
@@ -1054,5 +1074,5 @@ class TestOutcomeDrivenWindow:
         stats = gateway.stats()
         assert stats["served_total"] == len(answers)
         assert stats["coalesced_total"] >= 32
-        self._assert_replays(session, gateway, answers)
+        self._assert_replays(session, answers)
         session.close()

@@ -217,18 +217,17 @@ class TestZoomSessionsAreTheBestCase:
         workload = WorkloadGenerator(
             "data", ("x0", "x1"), profile, aggregate=Count(), seed=71
         )
-        served_late = 0
+        predicted = []
         for _ in range(60):
             session = workload.zoom_session(depth=4, shrink=0.8)
             for query in session:
                 record = agent.submit(query)
                 if record.mode == "predicted":
-                    served_late += 1
-        assert served_late > 0
+                    predicted.append(record)
+        assert predicted
         # Accuracy on the served answers stays within the loose gate.
         errors = []
-        for record in agent.history:
-            if record.mode == "predicted":
-                truth = record.query.evaluate(table)
-                errors.append(abs(record.answer - truth) / max(truth, 1.0))
+        for record in predicted:
+            truth = record.query.evaluate(table)
+            errors.append(abs(record.answer - truth) / max(truth, 1.0))
         assert np.median(errors) < 0.3

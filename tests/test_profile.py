@@ -9,8 +9,8 @@ Four families of guarantees:
   :class:`QueryProfile` whose plan tree reconciles with the CostMeter
   charges, the pruning counters and the fault history, and whose JSON /
   rendered text are deterministic.
-* **Health** — the SLO monitor's burn-rate statuses, the late-attach
-  replay, and the accuracy-drift z-score detector.
+* **Health** — the SLO monitor's burn-rate statuses, monitoring
+  from attachment onwards, and the accuracy-drift z-score detector.
 * **Byte-identity** — a hypothesis property drives two identically
   seeded sessions (pruning on/off × faults on/off) and requires
   identical profile JSONL, event JSONL, metrics and spans.
@@ -34,6 +34,7 @@ from repro.common.errors import ConfigurationError
 from repro.faults import FaultInjector, FaultSchedule
 from repro.obs import (
     AccuracyDriftMonitor,
+    SLOMonitor,
     SLOPolicy,
     SLOTarget,
     StackObserver,
@@ -347,14 +348,22 @@ class TestSLOHealth:
         assert snapshot["queries_recorded"] == 6
         assert snapshot["clock_sec"] > 0.0
 
-    def test_late_attach_replays_history_identically(self):
-        live, table = _make_session()
-        live.attach_slo()
-        late, _ = _make_session()
-        for q1, q2 in zip(_workload(table, n=8), _workload(table, n=8)):
-            live.submit(q1)
-            late.submit(q2)
-        assert late.health() == live.health()
+    def test_late_attach_monitors_from_attachment_onwards(self):
+        # The session keeps no answers to replay: a monitor attached
+        # after k requests is a fresh monitor fed requests k+1..n.
+        session, table = _make_session()
+        k, n = 3, 8
+        answers = [session.submit(q) for q in _workload(table, n=n)[:k]]
+        session.attach_slo()
+        assert session.health()["queries_recorded"] == 0
+        answers += [session.submit(q) for q in _workload(table, n=n)[k:]]
+        fresh = SLOMonitor()
+        for answer in answers[k:]:
+            fresh.record(answer)
+        expected = fresh.health()
+        assert expected["queries_recorded"] == n - k
+        expected["anomaly"] = session.agent.anomaly.summary()
+        assert session.health() == expected
 
     def test_status_transitions_emit_events(self):
         session, table = _make_session()

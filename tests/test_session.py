@@ -189,10 +189,9 @@ class TestRepeatedStatementCost:
         agent = session.agent
 
         def served(width):
-            answer = session.sql(sql_around(anchor, width))
-            record = agent.history[-1]
-            assert record.query is answer.query
-            return record
+            # session.sql minus the SessionAnswer wrapper, which drops
+            # the record's prediction.
+            return agent.submit(sql_module.parse_query(sql_around(anchor, width)))
 
         quantum = served(7.0).prediction.quantum_id
         counts.clear()
