@@ -14,14 +14,14 @@ answer of dimension m is handled by m independent scalar models.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError, NotTrainedError
 from repro.common.validation import require
 from repro.ml.boosting import GradientBoostingRegressor
-from repro.ml.linear import RidgeRegression, polynomial_features
+from repro.ml.linear import RidgeRegression, centred_moments, polynomial_features
 
 FAMILIES = ("mean", "linear", "quadratic", "gbm")
 _MIN_SAMPLES = {"mean": 1, "linear": 3, "quadratic": 6, "gbm": 8}
@@ -61,6 +61,10 @@ class _QuadraticModel:
 
     def fit(self, x, y, sample_weight=None) -> "_QuadraticModel":
         self._ridge.fit(polynomial_features(x, degree=2), y, sample_weight)
+        return self
+
+    def solve(self, x_mean, y_mean, cxx, cxy) -> "_QuadraticModel":
+        self._ridge.solve(x_mean, y_mean, cxx, cxy)
         return self
 
     def predict(self, x) -> np.ndarray:
@@ -116,17 +120,53 @@ class AnswerModelFactory:
         """Fewest training pairs before a family produces a sane fit."""
         return _MIN_SAMPLES[self.family]
 
+    def features(self, x) -> np.ndarray:
+        """The ridge design rows of query vectors ``x`` (2-D)."""
+        return polynomial_features(x, degree=2) if self.family == "quadratic" else x
+
+
+class _Moments:
+    """Running weighted means and centred co-moments of a ridge design,
+    moved by West's weighted update; a negative weight takes a row out."""
+
+    def __init__(self, key, f: np.ndarray, y: np.ndarray, w: np.ndarray) -> None:
+        self.key = key  # (family, decay_rate) the moments are valid for
+        moments = centred_moments(f, y, w)
+        self.weight, self.f_mean, self.y_mean, self.cff, self.cfy = moments
+
+    def scale(self, factor: float) -> None:
+        self.weight *= factor
+        self.cff *= factor
+        self.cfy *= factor
+
+    def update(self, f: np.ndarray, y: np.ndarray, w: float) -> None:
+        total = self.weight + w
+        df, dy = f - self.f_mean, y - self.y_mean
+        share = w / total
+        self.f_mean += share * df
+        self.y_mean += share * dy
+        scaled = (share * self.weight) * df[:, None]  # w W / (W + w) df
+        self.cff += scaled * df
+        self.cfy += scaled * dy
+        self.weight = total
+
 
 class QuantumModel:
     """The trained answer model of one query-space quantum.
 
     Holds the quantum's training buffer and a fitted model per answer
     dimension.  Refits lazily: ``add`` marks the model dirty and ``predict``
-    refits when dirty, so bursts of training queries cost one fit.
+    refits when dirty, so bursts of training queries cost one fit; ridge
+    families refit from running moments, and ``predict`` remembers its
+    last evaluation until the next refit (DESIGN §1 "What a quantum keeps").
 
     Sample ages are tracked so maintenance can apply exponential
     time-decay weights when data or interest changes (RT1.4).
     """
+
+    # Class-level defaults, so a blob written before these existed loads.
+    _moments: Optional[_Moments] = None
+    _last = None  # (vector bytes, answer row) of the last predict
 
     def __init__(
         self,
@@ -167,18 +207,31 @@ class QuantumModel:
         self._x.append(v)
         self._y.append(a)
         self._ages.append(self._clock)
+        m = self._moments
+        if m and m.key != (self.factory.family, self.decay_rate):
+            m = self._moments = None
+        elif m:
+            if self.decay_rate > 0:
+                m.scale(np.exp(-self.decay_rate))
+            m.update(self.factory.features(v[None])[0], a, 1.0)
         if len(self._x) > self.max_buffer:
             # Drop the oldest pair: bounded state is a P2 selling point.
-            self._x.pop(0)
-            self._y.pop(0)
-            self._ages.pop(0)
+            old_x, old_y = self._x.pop(0), self._y.pop(0)
+            old_w = np.exp(-self.decay_rate * (self._clock - self._ages.pop(0)))
+            if self._clock % self.max_buffer == 0:  # bounds the drift
+                self._moments = None
+            elif m:
+                m.update(self.factory.features(old_x[None])[0], old_y, -old_w)
         self._dirty = True
 
     def predict(self, vector) -> np.ndarray:
         """Predicted answer (shape ``(answer_dim,)``) for one query vector."""
-        x = np.asarray(vector, dtype=float).reshape(1, -1)
-        # Copied: a kept Prediction must not pin the batch matrix behind it.
-        return self.predict_batch(x)[0].copy()
+        x = np.asarray(vector, dtype=float).ravel()
+        last, key = self._last, x.tobytes()
+        if last is None or self._dirty or last[0] != key:
+            last = self._last = (key, self.predict_batch(x.reshape(1, -1))[0])
+        # Copied: a kept Prediction must not share the remembered row.
+        return last[1].copy()
 
     def predict_batch(self, vectors) -> np.ndarray:
         """Predicted answers (shape ``(n, answer_dim)``) for ``n`` vectors.
@@ -203,28 +256,42 @@ class QuantumModel:
         self._y = []
         self._ages = []
         self._models = None
+        self._moments = None
         self._dirty = True
 
     def state_bytes(self) -> int:
-        """Approximate footprint: buffer + fitted parameters."""
+        """Approximate footprint: buffer + moments + fitted parameters."""
         buffer_bytes = sum(v.nbytes for v in self._x) + sum(
             a.nbytes for a in self._y
         )
+        m = self._moments
+        if m is not None:  # the weight, then the arrays
+            arrays = (m.f_mean, m.y_mean, m.cff, m.cfy)
+            buffer_bytes += 8 + sum(a.nbytes for a in arrays)
         model_params = 0
         if self._models is not None:
             model_params = sum(m.n_params for m in self._models)
         return buffer_bytes + 8 * model_params
 
+    def _weights(self) -> np.ndarray:
+        """Each kept pair's decay weight: exactly 1.0 when aging is off."""
+        ages = self._clock - np.asarray(self._ages, dtype=float)
+        return np.exp(-self.decay_rate * ages)
+
     def _refit(self) -> None:
-        x = np.asarray(self._x)
-        y = np.asarray(self._y)
-        weights = None
-        if self.decay_rate > 0:
-            ages = self._clock - np.asarray(self._ages, dtype=float)
-            weights = np.exp(-self.decay_rate * ages)
-        self._models = []
-        for dim in range(self.answer_dim):
-            model = self.factory.build()
-            model.fit(x, y[:, dim], sample_weight=weights)
-            self._models.append(model)
+        self._last = None
+        key, dims = (self.factory.family, self.decay_rate), range(self.answer_dim)
+        if key[0] in ("mean", "gbm"):
+            x, y = np.asarray(self._x), np.asarray(self._y)
+            w = self._weights() if self.decay_rate > 0 else None
+            self._models = [self.factory.build().fit(x, y[:, d], w) for d in dims]
+        else:
+            m = self._moments
+            if m is None or m.key != key:
+                f, y = self.factory.features(np.asarray(self._x)), np.asarray(self._y)
+                m = self._moments = _Moments(key, f, y, self._weights())
+            self._models = [
+                self.factory.build().solve(m.f_mean, m.y_mean[d], m.cff, m.cfy[:, d])
+                for d in dims
+            ]
         self._dirty = False

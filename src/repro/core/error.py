@@ -18,19 +18,33 @@ reads it on every prediction while only a learning step (``record``) or
 a reset (``forget``) can move it — the same two events that bump the
 predictor's per-quantum version.  :meth:`estimate` therefore keeps the
 last quantile it computed per quantum and those two methods drop it, so
-a frozen or quiet quantum reads a float.  The memo is derived state: it
-is not pickled, and an estimator restored from a file written before it
-existed starts with it empty.
+a frozen or quiet quantum reads a float; a recomputation reads a sorted
+copy of the window (DESIGN §1, "What a quantum keeps").  Both are derived
+state, rebuilt on load.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
 from repro.common.validation import require, require_in_range
+
+
+def _linear_quantile(ordered: List[float], n: int, q: float) -> float:
+    """``np.quantile`` of a window of ``n`` whose non-NaN values are ``ordered``."""
+    if len(ordered) < n:
+        return float("nan")
+    virtual = (n - 1) * q
+    lower = int(virtual)  # floor: virtual >= 0
+    gamma, below = virtual - lower, ordered[lower]
+    above = ordered[min(lower + 1, n - 1)]  # numpy clips the upper index
+    if gamma >= 0.5:  # numpy's _lerp, from the nearer neighbour
+        return above - (above - below) * (1 - gamma)
+    return below + (above - below) * gamma
 
 
 class PrequentialErrorEstimator:
@@ -51,16 +65,18 @@ class PrequentialErrorEstimator:
         self.min_observations = min_observations
         self.relative_floor = relative_floor
         self._residuals: Dict[int, Deque[float]] = {}
+        self._sorted: Dict[int, List[float]] = {}  # non-NaN, ascending
         self._estimates: Dict[int, float] = {}
 
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_estimates", None)
-        return state
+        derived = ("_estimates", "_sorted")
+        return {k: v for k, v in self.__dict__.items() if k not in derived}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._estimates = {}
+        self._estimates, self._sorted = {}, {}
+        for quantum_id, bucket in self._residuals.items():
+            self._sorted[quantum_id] = sorted(r for r in bucket if r == r)
 
     def record(self, quantum_id: int, predicted, actual) -> float:
         """Record one prequential residual; returns the relative error."""
@@ -71,7 +87,12 @@ class PrequentialErrorEstimator:
         bucket = self._residuals.setdefault(
             quantum_id, deque(maxlen=self.window)
         )
+        ordered = self._sorted.setdefault(quantum_id, [])
+        if len(bucket) == bucket.maxlen and bucket[0] == bucket[0]:
+            del ordered[bisect_left(ordered, bucket[0])]
         bucket.append(rel)
+        if rel == rel:
+            insort(ordered, rel)
         self._estimates.pop(quantum_id, None)
         return rel
 
@@ -87,7 +108,8 @@ class PrequentialErrorEstimator:
             bucket = self._residuals.get(quantum_id)
             if bucket is None or len(bucket) < self.min_observations:
                 return None
-            estimate = float(np.quantile(np.asarray(bucket), self.quantile))
+            ordered = self._sorted[quantum_id]
+            estimate = _linear_quantile(ordered, len(bucket), self.quantile)
             self._estimates[quantum_id] = estimate
         return estimate
 
@@ -112,6 +134,7 @@ class PrequentialErrorEstimator:
     def forget(self, quantum_id: int) -> None:
         """Drop a quantum's residual history (model was reset/purged)."""
         self._residuals.pop(quantum_id, None)
+        self._sorted.pop(quantum_id, None)
         self._estimates.pop(quantum_id, None)
 
     def state_bytes(self) -> int:

@@ -56,6 +56,20 @@ def polynomial_features(x, degree: int = 2, interaction: bool = True) -> np.ndar
     return np.concatenate(columns, axis=1)
 
 
+def centred_moments(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """``(weight sum, x mean, y mean, Xc'Xc, Xc'yc)`` of weighted rows, the
+    centred sufficient statistics of a ridge fit; ``y`` may be 2-D."""
+    w_sum = w.sum()
+    if w_sum <= 0:
+        raise ValueError("sample weights must not sum to zero")
+    wy = w.reshape((-1,) + (1,) * (y.ndim - 1))
+    x_mean = (x * w[:, None]).sum(axis=0) / w_sum
+    y_mean = (y * wy).sum(axis=0) / w_sum
+    xc = (x - x_mean) * np.sqrt(w)[:, None]
+    yc = (y - y_mean) * np.sqrt(wy)
+    return w_sum, x_mean, y_mean, xc.T @ xc, xc.T @ yc
+
+
 class LinearRegression:
     """Ordinary least squares with an intercept.
 
@@ -119,18 +133,14 @@ class RidgeRegression:
             require(w.shape[0] == y.shape[0], "sample_weight length mismatch")
         else:
             w = np.ones(y.shape[0])
-        # Centre so the intercept absorbs the (weighted) means and the
-        # penalty applies only to slopes.
-        w_sum = w.sum()
-        if w_sum <= 0:
-            raise ValueError("sample weights must not sum to zero")
-        x_mean = (x * w[:, None]).sum(axis=0) / w_sum
-        y_mean = float((y * w).sum() / w_sum)
-        xc = (x - x_mean) * np.sqrt(w)[:, None]
-        yc = (y - y_mean) * np.sqrt(w)
-        gram = xc.T @ xc + self.alpha * np.eye(x.shape[1])
-        self.coef_ = np.linalg.solve(gram, xc.T @ yc)
-        self.intercept_ = y_mean - float(x_mean @ self.coef_)
+        return self.solve(*centred_moments(x, y, w)[1:])
+
+    def solve(self, x_mean, y_mean, cxx, cxy) -> "RidgeRegression":
+        """Fit from :func:`centred_moments`; the intercept absorbs the
+        means, so the penalty applies only to slopes."""
+        gram = cxx + self.alpha * np.eye(cxx.shape[0])
+        self.coef_ = np.linalg.solve(gram, cxy)
+        self.intercept_ = float(y_mean) - float(x_mean @ self.coef_)
         return self
 
     def predict(self, x) -> np.ndarray:

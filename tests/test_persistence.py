@@ -210,3 +210,73 @@ class TestAgentModelsRoundtrip:
         load_agent_models(fresh, path)
         # Drift detectors exist for every restored signature.
         assert set(fresh._drift) >= set(fresh._predictors)
+
+
+class TestLearningStateRoundtrip:
+    """The running ridge moments travel with a blob; an old blob rebuilds."""
+
+    def test_loaded_agent_predicts_and_learns_bitwise_as_the_saved_one(self):
+        topo = ClusterTopology.single_datacenter(2)
+        store = DistributedStore(topo)
+        table = gaussian_mixture_table(6000, dims=("x0", "x1"), seed=8, name="data")
+        store.put_table(table)
+        profile = InterestProfile.from_table(
+            table, ("x0", "x1"), 2, seed=9, extent_range=(4, 9)
+        )
+        workload = WorkloadGenerator(
+            "data", ("x0", "x1"), profile, aggregate=Count(), seed=10
+        )
+        veteran = SEAAgent(ExactEngine(store), AgentConfig(training_budget=250))
+        for query in workload.batch(250):
+            veteran.submit(query)
+        buffer = io.BytesIO()
+        save_agent_models(veteran, buffer)  # quanta still dirty: refit later
+        buffer.seek(0)
+        rookie = SEAAgent(ExactEngine(store))
+        load_agent_models(rookie, buffer)
+        (signature,) = veteran._predictors
+        old, new = veteran._predictors[signature], rookie._predictors[signature]
+
+        def values(predictor, queries):
+            return [predictor.predict(q.vector()).value.tobytes() for q in queries]
+
+        probes = workload.batch(40)
+        assert values(new, probes) == values(old, probes)
+        for query in workload.batch(60):  # both keep learning the same pairs
+            answer, _ = ExactEngine(store).execute(query)
+            old.observe(query.vector(), answer)
+            new.observe(query.vector(), answer)
+        assert values(new, probes) == values(old, probes)
+
+    def test_blob_written_before_the_running_moments_existed_restores(self):
+        predictor = trained_predictor(seed=11, family="quadratic")
+        parent = pickle.loads(pickle.dumps(predictor))
+        for quantum_id in parent.quantum_ids():
+            model = parent.model_for(quantum_id)
+            for name in ("_moments", "_last"):
+                model.__dict__.pop(name, None)  # the parent commit's shape
+        buffer = io.BytesIO()
+        save_predictor(parent, buffer)
+        buffer.seek(0)
+        restored = load_predictor(buffer)
+        probe = np.array([5.0, 5.0])
+        assert (
+            restored.predict(probe).value.tobytes()
+            == predictor.predict(probe).value.tobytes()
+        )
+        rng = np.random.default_rng(12)
+        for _ in range(30):  # learning rebuilds the moments from the buffer
+            v = rng.normal(loc=(5.0, 5.0), size=2)
+            restored.observe(v, 3.0 * v[0] + v[1])
+            predictor.observe(v, 3.0 * v[0] + v[1])
+        for _ in range(20):
+            v = rng.normal(loc=(5.0, 5.0), size=2)
+            want = predictor.predict(v).value
+            got = restored.predict(v).value
+            assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+        trained = [
+            restored.model_for(q)
+            for q in restored.quantum_ids()
+            if restored.model_for(q).is_trained
+        ]
+        assert trained and all(m._moments is not None for m in trained)

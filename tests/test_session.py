@@ -7,6 +7,7 @@ import pytest
 
 from repro import SEASession
 from repro.core import AgentConfig
+from repro.core import error as error_module
 from repro.data import Table, gaussian_mixture_table
 from repro.queries import sql as sql_module
 
@@ -166,7 +167,11 @@ class TestRepeatedStatementCost:
         monkeypatch.setattr(
             sql_module, "_parse", counting("parse", sql_module._parse)
         )
-        monkeypatch.setattr(np, "quantile", counting("quantile", np.quantile))
+        monkeypatch.setattr(
+            error_module,
+            "_linear_quantile",
+            counting("quantile", error_module._linear_quantile),
+        )
         return session, anchor, counts
 
     def test_second_sql_of_one_text_parses_and_estimates_nothing(self, counted):
