@@ -203,6 +203,28 @@ class StoredTable:
             seen.setdefault(p.primary_node, None)
         return list(seen)
 
+    def placement(self, n_rows: int) -> List[Tuple[int, int, int]]:
+        """Where an append of ``n_rows`` rows lands, as contiguous
+        ``(partition index, start, stop)`` row ranges in index order.
+
+        Partitions fill in index order, each up to ``cap = 2 * ceil((live
+        + n_rows) / n_partitions)`` rows, so rows that arrive together
+        land together and zone maps over arrival-ordered columns stay
+        narrow (DESIGN §13 "Where an append lands").  The spare room sums
+        to at least ``n_partitions * cap - live >= n_rows``: it always fits.
+        """
+        self._require_partitions()
+        sizes = [p.n_rows for p in self.partitions]
+        cap = 2 * -(-(sum(sizes) + n_rows) // len(sizes))
+        ranges: List[Tuple[int, int, int]] = []
+        start = 0
+        for index, size in enumerate(sizes):
+            stop = min(n_rows, start + cap - size)
+            if stop > start:
+                ranges.append((index, start, stop))
+                start = stop
+        return ranges
+
     def full_table(self) -> Table:
         """Materialise the whole table (test/verification use only).
 
@@ -640,13 +662,13 @@ class DistributedStore:
         return partition.take(idx)
 
     # Mutation (model-maintenance experiments) ------------------------------
-    def append_rows(self, name: str, rows: Table, seed: SeedLike = 0) -> None:
-        """Append ``rows`` to a stored table, spread over its partitions.
+    def append_rows(self, name: str, rows: Table) -> None:
+        """Append ``rows`` to a stored table where
+        :meth:`StoredTable.placement` puts them.
 
-        Zero-row pieces (more partitions than appended rows) leave their
-        partition — data, node byte accounting, and synopsis — untouched;
-        grown partitions update all three together so the bookkeeping
-        cannot diverge on degenerate shapes.
+        Partitions the batch does not reach are left untouched — data,
+        node byte accounting, and synopsis; grown partitions update all
+        three together so the bookkeeping cannot diverge.
 
         With durable ingest enabled (:meth:`enable_ingest`) the write is
         WAL-logged and staged into delta partitions instead of mutating
@@ -667,10 +689,9 @@ class DistributedStore:
         if rows.n_rows == 0:
             return
         synopses = self._synopses[name]
-        pieces = rows.split(len(stored.partitions))
-        for index, (partition, piece) in enumerate(zip(stored.partitions, pieces)):
-            if piece.n_rows == 0:
-                continue
+        for index, start, stop in stored.placement(rows.n_rows):
+            partition = stored.partitions[index]
+            piece = rows.slice_rows(start, stop)
             grown = partition.data.appended(piece)
             synopses[index] = synopses[index].appended(piece, grown)
             self._replace_partition_data(partition, grown)
@@ -685,8 +706,8 @@ class DistributedStore:
         Minima/maxima are not decrementable, so a shrunk partition's
         synopsis is rebuilt from the surviving rows.
 
-        With durable ingest enabled the delete is WAL-logged as
-        evaluated per-partition masks and staged as tombstones; base
+        With durable ingest enabled the delete is WAL-logged as the
+        evaluated masks of the partitions it hit and staged as tombstones; base
         rows disappear from the view immediately and physically at the
         next compaction.
         """

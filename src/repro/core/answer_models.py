@@ -257,6 +257,7 @@ class QuantumModel:
         self._ages = []
         self._models = None
         self._moments = None
+        self._last = None
         self._dirty = True
 
     def state_bytes(self) -> int:

@@ -50,8 +50,10 @@ def gaussian_mixture_table(
     assignment = rng.integers(n_components, size=n_rows)
     points = centers[assignment] + rng.normal(scale=spread, size=(n_rows, d))
     points = np.clip(points, lo, hi)
+    # One contiguous array per column: a strided view of ``points`` would
+    # be the layout of every partition no write ever rewrites.
     columns: Dict[str, np.ndarray] = {
-        dim: points[:, j] for j, dim in enumerate(dims)
+        dim: np.ascontiguousarray(points[:, j]) for j, dim in enumerate(dims)
     }
     weights = rng.uniform(-1.0, 1.0, size=d)
     scale = (hi - lo) / 4.0

@@ -387,12 +387,8 @@ class Table:
         table_name = name if name is not None else path.rsplit("/", 1)[-1]
         return cls(columns, name=table_name, value_bytes=value_bytes)
 
-    def split_bounds(self, n_parts: int) -> List[int]:
-        """The ``n_parts + 1`` row offsets :meth:`split` cuts at."""
-        require(n_parts >= 1, "n_parts must be >= 1")
-        return np.linspace(0, self.n_rows, n_parts + 1).astype(int).tolist()
-
     def split(self, n_parts: int) -> List["Table"]:
         """Split into ``n_parts`` contiguous row ranges (sizes differ by <=1)."""
-        bounds = self.split_bounds(n_parts)
+        require(n_parts >= 1, "n_parts must be >= 1")
+        bounds = np.linspace(0, self.n_rows, n_parts + 1).astype(int).tolist()
         return [self.slice_rows(bounds[i], bounds[i + 1]) for i in range(n_parts)]

@@ -211,14 +211,20 @@ class IngestPipeline:
         )
         if rows.n_rows == 0:
             return 0
+        # Placement reads live row counts, which replay cannot see again
+        # (a checkpoint may be newer than the record): log the decision.
+        ranges = stored.placement(rows.n_rows)
         payload = {
             "table": name,
             "columns": {c: rows.column(c) for c in rows.column_names},
             "value_bytes": rows.value_bytes,
+            "ranges": ranges,
         }
         lsn = self._log(WAL_APPEND, payload)
         self._check_write("delta_append", f"append lsn={lsn} table={name}")
-        self._apply_append(stored, rows, lsn)
+        for index, start, stop in ranges:
+            self._stage_append(stored.partitions[index], rows, start, stop, lsn)
+        self._box_union(name, rows)
         if self.observer.enabled:
             self.observer.inc("ingest_appended_rows_total", rows.n_rows)
         return lsn
@@ -237,15 +243,14 @@ class IngestPipeline:
                 f"predicate mask shape {mask.shape} does not match "
                 f"{view.n_rows} rows of {partition.partition_id}",
             )
-            staged.append((partition, view, mask))
-            masks[partition.index] = mask
+            if mask.any():  # only the masks that hit are logged
+                staged.append((partition, view, mask))
+                masks[partition.index] = mask
         payload = {"table": name, "masks": masks}
         lsn = self._log(WAL_DELETE, payload)
         self._check_write("delta_append", f"delete lsn={lsn} table={name}")
         deleted = 0
         for partition, view, mask in staged:
-            if not mask.any():
-                continue
             self._box_union(name, view.select(mask))
             deleted += self._stage_delete(partition, mask, lsn)
         if self.observer.enabled and deleted:
@@ -320,6 +325,8 @@ class IngestPipeline:
                     columnar=meta["columnar"],
                 )
                 synopses[partition.index] = restored
+                # The base is the checkpoint's again, under a new generation.
+                checkpoint.generation = partition.generation
                 partition.delta = DeltaPartition(partition.data.n_rows)
                 report.partitions_restored += 1
         self.crashed = False
@@ -412,13 +419,6 @@ class IngestPipeline:
                 "ingest_wal_pending_records", self.wal.pending_records
             )
         return lsn
-
-    def _apply_append(self, stored, rows: Table, lsn: int) -> None:
-        bounds = rows.split_bounds(len(stored.partitions))
-        for partition, start, stop in zip(stored.partitions, bounds, bounds[1:]):
-            if start < stop:
-                self._stage_append(partition, rows, start, stop, lsn)
-        self._box_union(stored.name, rows)
 
     def _stage_append(
         self, partition, rows: Table, start: int, stop: int, lsn: int
@@ -524,9 +524,14 @@ class IngestPipeline:
                 for partition in stored.partitions:
                     delta = partition.delta
                     if delta is None or not delta.dirty:
-                        applied = self._checkpoints[
-                            (name, partition.index)
-                        ].applied_lsn
+                        checkpoint = self._checkpoints[(name, partition.index)]
+                        # Clean: every durable record that named it is in
+                        # its base, so the floor rises with the log — unless
+                        # a checkpoint write ran out of retries after a
+                        # merge, leaving an older base that still needs them.
+                        if checkpoint.generation == partition.generation:
+                            checkpoint.applied_lsn = self.wal.synced_lsn
+                        applied = checkpoint.applied_lsn
                         min_applied = (
                             applied
                             if min_applied is None
@@ -639,27 +644,20 @@ class IngestPipeline:
                 name=name,
                 value_bytes=payload["value_bytes"],
             )
-            bounds = rows.split_bounds(len(stored.partitions))
-            touched = False
-            for partition, start, stop in zip(stored.partitions, bounds, bounds[1:]):
-                if start == stop:
+            for index, start, stop in payload["ranges"]:
+                if record.lsn <= self._checkpoints[(name, index)].applied_lsn:
                     continue
-                checkpoint = self._checkpoints[(name, partition.index)]
-                if record.lsn <= checkpoint.applied_lsn:
-                    continue
-                self._stage_append(partition, rows, start, stop, record.lsn)
-                touched = True
-            if touched:
-                self._box_union(name, rows)
+                self._stage_append(
+                    stored.partitions[index], rows, start, stop, record.lsn
+                )
                 applied = True
+            if applied:
+                self._box_union(name, rows)
         elif record.rtype == WAL_DELETE:
-            for partition in stored.partitions:
-                mask = payload["masks"].get(partition.index)
-                if mask is None or not mask.any():
+            for index, mask in payload["masks"].items():
+                if record.lsn <= self._checkpoints[(name, index)].applied_lsn:
                     continue
-                checkpoint = self._checkpoints[(name, partition.index)]
-                if record.lsn <= checkpoint.applied_lsn:
-                    continue
+                partition = stored.partitions[index]
                 view = partition.read_view()
                 self._box_union(name, view.select(mask))
                 self._stage_delete(partition, mask, record.lsn)

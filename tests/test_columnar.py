@@ -338,7 +338,7 @@ class TestStoreIntegration:
         _, col_store, table = build_stores(n=1200, seed=3)
         stored = col_store.table("t")
         before = stored.stored_bytes
-        col_store.append_rows("t", make_table(300, seed=4), seed=1)
+        col_store.append_rows("t", make_table(300, seed=4))
         deleted = col_store.delete_rows("t", lambda t: t.column("cat") < 1.0)
         assert deleted > 0
         assert columnar_consistent(

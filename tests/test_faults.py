@@ -885,7 +885,6 @@ class TestChaos:
                         uniform_table(
                             60, dims=("x0", "x1"), seed=step, name="data"
                         ),
-                        seed=step,
                     )
                     store.delete_rows(
                         "data", lambda t: t.column("x0") < 5.0

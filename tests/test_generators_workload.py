@@ -23,6 +23,9 @@ class TestGenerators:
         assert set(t.column_names) == {"a", "b", "c", "value"}
         for dim in ("a", "b", "c"):
             assert t[dim].min() >= 0.0 and t[dim].max() <= 100.0
+            # Partitions keep their loaded slices until a write rewrites
+            # them: a strided column would make every scan of them slow.
+            assert t[dim].flags["C_CONTIGUOUS"]
 
     def test_gaussian_mixture_deterministic(self):
         a = gaussian_mixture_table(100, seed=5)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -72,6 +72,12 @@ def tables_equal(a: Table, b: Table) -> bool:
 
 def store_image(store, name="data"):
     return store.table(name).full_table()
+
+
+def views_equal(store, other, name="data"):
+    """Partition by partition, not only the concatenated image."""
+    pairs = zip(store.table(name).partitions, other.table(name).partitions)
+    return all(tables_equal(a.read_view(), b.read_view()) for a, b in pairs)
 
 
 def node_stored_bytes(store):
@@ -242,10 +248,12 @@ class TestIngestWritePath:
 
         # Pre-compaction: the base+delta view is element-identical.
         assert tables_equal(store_image(store), store_image(legacy))
+        assert views_equal(store, legacy)
         assert pipeline.pending_delta_rows > 0
         pipeline.flush()
         assert pipeline.pending_delta_rows == 0
         assert tables_equal(store_image(store), store_image(legacy))
+        assert views_equal(store, legacy)
         verify_store(store)
 
     def test_append_visible_before_any_epoch_close(self):
@@ -308,6 +316,150 @@ class TestIngestWritePath:
         assert lsn == 0
         assert pipeline.wal.pending_records == 0
         assert pipeline.pending_delta_rows == 0
+
+
+# ---------------------------------------------------------------------------
+# Where an append lands: partitions fill in index order
+# ---------------------------------------------------------------------------
+write_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 400)),
+        st.tuples(st.just("delete"), st.floats(0.0, 100.0)),
+        st.tuples(st.just("flush"), st.just(0)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def dirty_indices(store, name="data"):
+    return [p.index for p in store.table(name).partitions if p.dirty]
+
+
+def hits_value(value, column="x0"):
+    """A delete predicate matching the rows whose ``column`` is ``value``."""
+    return lambda t: t.column(column) == value
+
+
+class TestPlacement:
+    @settings(max_examples=40, deadline=None)
+    @given(n_rows=st.integers(1, 300), ops=write_ops)
+    def test_every_batch_lands_once_in_order_within_capacity(
+        self, n_rows, ops
+    ):
+        table = make_table(n_rows)
+        legacy = DistributedStore(ClusterTopology.single_datacenter(4))
+        legacy.put_table(table, partitions_per_node=2)
+        store, pipeline = ingest_store(table=table)
+        partitions = store.table("data").partitions
+        for step, (kind, arg) in enumerate(ops):
+            if kind == "append":
+                before = [p.n_rows for p in partitions]
+                cap = 2 * -(-(sum(before) + arg) // len(before))
+                ranges = store.table("data").placement(arg)
+                indices = [index for index, _, _ in ranges]
+                starts = [start for _, start, _ in ranges]
+                stops = [stop for _, _, stop in ranges]
+                # Contiguous, in order, each row once, partitions ascending.
+                assert indices == sorted(set(indices))
+                assert starts == [0] + stops[:-1] and stops[-1] == arg
+                assert all(a < b for a, b in zip(starts, stops))
+                batch = make_batch(arg, step)
+                legacy.append_rows("data", batch)
+                store.append_rows("data", batch)
+                grown = dict(zip(indices, np.subtract(stops, starts)))
+                for partition, was in zip(partitions, before):
+                    now = partition.n_rows
+                    assert now == was + grown.get(partition.index, 0)
+                    assert now <= max(was, cap)
+            elif kind == "delete":
+                band = lambda t, at=arg: np.abs(t.column("x0") - at) < 10.0
+                legacy.delete_rows("data", band)
+                store.delete_rows("data", band)
+            else:
+                pipeline.flush()
+            assert views_equal(store, legacy)
+
+    def test_a_tail_count_scans_at_most_two_partitions(self):
+        from repro.baselines.exact import ExactEngine
+        from repro.engine.pruning import SCAN
+
+        batch, rows = 16, 4_000
+        store, pipeline = ingest_store(table=arrivals(0.0, rows, 1))
+        engine = ExactEngine(store)
+        rng = np.random.default_rng(3)
+        last, frontier = rows - 1.0, 0.0
+        for cycle in range(300):
+            store.append_rows("data", arrivals(last + 1.0, batch, cycle + 10))
+            last += batch
+            depth = float(rng.integers(2 * batch, 16 * batch))
+            query = AnalyticsQuery(
+                "data",
+                RangeSelection(
+                    ("ts", "x0"), (last - depth, 10.0), (last, 90.0)
+                ),
+                Count(),
+            )
+            assert engine.plan_for(query).actions.count(SCAN) <= 2
+            if cycle % 10 == 9:  # oldest first, keeping the table level
+                low, frontier = frontier, frontier + 10 * batch
+                oldest = lambda t, lo=low, hi=frontier: (
+                    (t.column("ts") >= lo) & (t.column("ts") < hi)
+                )
+                store.delete_rows("data", oldest)
+                assert pipeline.flush()["partitions_compacted"] <= 4
+        value, _ = engine.execute(query)
+        assert value == engine.ground_truth(query)
+
+    def test_the_wal_stays_pruned_while_one_partition_takes_every_append(
+        self,
+    ):
+        store, pipeline = ingest_store(table=make_table(4_000))
+        for epoch in range(40):
+            if epoch == 20:  # a recovered base is its checkpoint's again
+                pipeline.crash()
+                store.recover()
+            store.append_rows("data", make_batch(8, epoch))
+            assert dirty_indices(store) == [0]
+            synced = pipeline.flush()["synced_bytes"]
+            assert pipeline.wal.disk_bytes <= synced
+
+    def test_a_stale_checkpoint_keeps_its_floor(self):
+        store, pipeline = ingest_store(table=make_table(400))
+        injector = FaultInjector(seed=7)
+        store.attach_faults(injector)
+        first, second = store.table("data").partitions[:2]
+        store.append_rows("data", make_batch(20, 1))  # lands on the first
+        injector.inject_write_faults(
+            "checkpoint", count=pipeline.config.retry_limit + 1
+        )
+        with pytest.raises(WriteError):
+            pipeline.flush()  # merged, but its checkpoint write gave up
+        stale = pipeline._checkpoints[("data", first.index)]
+        assert not first.dirty and stale.generation != first.generation
+        # Another epoch closes over a write the first partition never sees.
+        assert store.delete_rows("data", hits_value(second.data["x0"][0])) == 1
+        pipeline.flush()
+        assert stale.applied_lsn == 0
+        image = store_image(store)
+        pipeline.crash()
+        store.recover()
+        assert tables_equal(store_image(store), image)
+        verify_store(store)
+
+    def test_a_delete_logs_only_the_masks_that_hit(self):
+        store, pipeline = ingest_store(
+            table=make_table(400), epoch_seconds=100.0
+        )
+        target = store.table("data").partitions[3].data["x0"][0]
+        assert store.delete_rows("data", hits_value(target)) == 1
+        pipeline.wal.sync()
+        records, _ = pipeline.wal.scan()
+        assert list(records[-1].payload["masks"]) == [3]
+        image = store_image(store)
+        pipeline.crash()
+        assert store.recover().records_replayed == 1
+        assert tables_equal(store_image(store), image)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +661,7 @@ class TestRecovery:
         store, pipeline = ingest_store(table=table)
         injector = FaultInjector(seed=11)
         store.attach_faults(injector)
-        store.append_rows("data", make_batch(60, 51))
+        store.append_rows("data", make_batch(300, 51))  # fills three partitions
 
         # First partition compacts, then the process dies: the WAL is
         # synced, one partition is merged+checkpointed, the rest are not.
@@ -524,7 +676,7 @@ class TestRecovery:
         # the half-merged epoch recovers completely.
         reference = DistributedStore(ClusterTopology.single_datacenter(4))
         reference.put_table(table, partitions_per_node=2)
-        reference.append_rows("data", make_batch(60, 51))
+        reference.append_rows("data", make_batch(300, 51))
         assert tables_equal(store_image(store), store_image(reference))
         verify_store(store)
         # And the next epoch close finishes the merge cleanly.
@@ -731,7 +883,7 @@ class TestViewMaintenance:
             view, peak = self._append_and_read(store, partition, seed)
             assert np.shares_memory(view.column("x0"), first.column("x0"))
             assert peak < column_bytes / 4  # no partition-length array
-            assert view.n_rows == first.n_rows + (seed - 1) * 4
+            assert view.n_rows == first.n_rows + (seed - 1) * 8  # lands whole
             assert bits(view) == bits(union_from_scratch(partition))
             assert partition.read_view() is view
 
@@ -807,7 +959,7 @@ class TestViewMaintenance:
             thread.join()
         assert seen and all(seen)
         assert [float(col.sum()) for col in columns] == want
-        assert partition.read_view().n_rows == held.n_rows + 1000
+        assert partition.read_view().n_rows == held.n_rows + 2000
 
 
 # ---------------------------------------------------------------------------
@@ -950,23 +1102,25 @@ class TestFreshReadCost:
             PartitionSynopsis, "from_table", classmethod(forbidden)
         )
         plan = engine.plan_for(tail(4_000.0 + 8 * n_parts - 1))
-        # Every base but the last lies below the tail: only its eight
-        # fresh rows keep such a partition in the plan, found by one
-        # min/max over them for each column the selection names.
-        assert plan.actions.count(SCAN) == n_parts
-        assert folded == [8, 8] * (n_parts - 1)
+        # The batch landed whole on the first partition, whose base lies
+        # below the tail: only its fresh rows keep it in the plan, found by
+        # one min/max over them for each column the selection names.  The
+        # last base reaches the tail; every other partition is skipped.
+        assert dirty_indices(store) == [0]
+        assert plan.actions[0] == SCAN and plan.actions.count(SCAN) <= 2
+        assert folded == [8 * n_parts] * 2
         del folded[:]
         engine.plan_for(tail(4_000.0 + 8 * n_parts - 1))
         assert folded == []  # a second read computes no statistic at all
         store.append_rows("data", arrivals(5_000.0, 3 * n_parts, 3))
+        assert dirty_indices(store) == [0]
         beyond = AnalyticsQuery(
             "data", RangeSelection(("ts", "x0"), (6e3, 0.0), (7e3, 100.0)), Count()
         )
         assert engine.plan_for(beyond).actions.count(SKIP) == n_parts
-        # ...and the next one only the rows appended since (the last
-        # partition's memtable is asked for the first time; ts proves
-        # every memtable disjoint, so x0 is not looked at).
-        assert folded == [3] * (n_parts - 1) + [11]
+        # ...and the next one only the rows appended since (ts proves the
+        # memtable disjoint, so x0 is not looked at).
+        assert folded == [3 * n_parts]
         monkeypatch.undo()
         value, _ = engine.execute(tail(5_000.0 + 3 * n_parts - 1))
         assert value == engine.ground_truth(tail(5_000.0 + 3 * n_parts - 1))

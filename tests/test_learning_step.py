@@ -8,6 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from repro.common.errors import NotTrainedError
 from repro.core import (
     AnswerModelFactory,
     DatalessPredictor,
@@ -261,3 +262,65 @@ class TestOneEvaluationPerFallback:
         model.add([3.0], 100.0)
         model.predict_batch([[0.0]])  # refits without going through predict
         assert model.predict([3.0]).tobytes() != before.tobytes()
+
+
+class TestResetQuantum:
+    """What an invalidated quantum keeps: nothing it could answer from."""
+
+    def predictor(self, *centres):
+        predictor = DatalessPredictor(
+            quantizer=QuerySpaceQuantizer(
+                n_quanta=len(centres), max_quanta=len(centres), warmup=8
+            ),
+            factory=AnswerModelFactory("linear"),
+        )
+        rng = np.random.default_rng(11)
+        for step in range(60 * len(centres)):
+            v = rng.normal(loc=centres[step % len(centres)], size=2)
+            predictor.observe(v, 2.0 * v[0] - v[1])
+        return predictor
+
+    def test_a_reset_quantum_never_answers_its_own_queries(self):
+        predictor = self.predictor((0.0, 0.0), (20.0, 20.0))
+        probe = np.array([20.5, 19.5])
+        own = predictor.predict(probe).quantum_id
+        assert all(predictor.model_for(q).is_trained for q in (0, 1))
+        predictor.reset_quantum(own)
+        for answer in (predictor.predict(probe), predictor.predict_batch([probe])[0]):
+            assert answer.quantum_id != own and not answer.reliable
+
+        alone = self.predictor((20.0, 20.0))
+        alone.predict(probe)
+        alone.reset_quantum(0)
+        with pytest.raises(NotTrainedError):
+            alone.predict(probe)
+        assert alone.predict_batch([probe]) == [None]
+
+    def test_a_reset_model_keeps_no_samples_moments_or_memo(self):
+        predictor = self.predictor((5.0, 5.0))
+        model = predictor.model_for(0)
+        predictor.predict([1.0, 2.0])  # fits, builds moments, remembers
+        assert model._moments is not None and model._last is not None
+        predictor.reset_quantum(0)
+        assert model.n_samples == 0 and not model.is_trained
+        assert model._moments is None and model._last is None
+
+    @pytest.mark.parametrize("family", ["linear", "quadratic"])
+    def test_a_refilled_model_equals_a_fresh_one(self, family):
+        rng = np.random.default_rng(12)
+        model = QuantumModel(AnswerModelFactory(family), max_buffer=16)
+        for _ in range(40):  # evictions, moments and a memo to forget
+            v = rng.normal(loc=3.0, size=2)
+            model.add(v, world(np.append(v, 1.0), 1, 1.0))
+            if model.is_trained:
+                model.predict(v)
+        model.reset()
+        fresh = QuantumModel(AnswerModelFactory(family), max_buffer=16)
+        for _ in range(12):  # k < max_buffer, decay off
+            v = rng.normal(loc=3.0, size=2)
+            answer = world(np.append(v, 1.0), 1, 1.0)
+            model.add(v, answer)
+            fresh.add(v, answer)
+        probes = rng.normal(loc=3.0, size=(5, 2))
+        assert model.predict_batch(probes).tobytes() == fresh.predict_batch(probes).tobytes()
+        assert model.predict(probes[0]).tobytes() == fresh.predict(probes[0]).tobytes()

@@ -236,7 +236,7 @@ def test_exact_answers_on_a_dirty_store_match_ground_truth(layout):
         session.append_rows("data", arrivals(2_000.0, 64, seed=2))
         read_all(2_063.0)  # dirty, in arrival order
         session.append_rows("data", arrivals(2_064.0, 3, seed=3))
-        read_all(2_066.0)  # three partitions grew, one did not
+        read_all(2_066.0)  # the same partition grew again, the rest are clean
         session.delete_rows("data", lambda view: view.column("ts") < 100.0)
         read_all(2_066.0)  # views rebuilt by select
         session.append_rows("data", arrivals(500.0, 8, seed=4))  # late rows
