@@ -32,6 +32,12 @@ scan actually reads, and support three access paths used by
 * ``masked(mask)`` — late materialization: decode only the surviving
   rows (``== decode()[mask]`` bitwise);
 * ``take(idx)`` — point-read gather without a full decode.
+
+A raw float64 column also builds, on the first range conjunct that has
+to compare it, a :class:`SortedIndex`: the rows in ascending value
+order, so a selective range becomes two binary searches and the row
+positions between them (:mod:`repro.engine.colscan` drives a scan from
+those positions).
 """
 
 from __future__ import annotations
@@ -60,6 +66,13 @@ _DICT_MAX_UNIQUE = 4096
 _LENGTH_BYTES = 8
 _OFFSET_BYTES = 8
 
+#: A :class:`SortedIndex` keeps one fence key per this many sorted rows:
+#: 8/64 = 0.125 B a row beside the 2 B (uint16) permutation.  Both bounds
+#: of a range then cost 5.5 us on a 31 250-row partition, most of it numpy
+#: call overhead: stride 16 spends 0.375 B a row more to save 0.4 us,
+#: stride 256 saves 0.09 B a row and costs 1.4 us more (EXPERIMENTS E21).
+FENCE_STRIDE = 64
+
 
 def _bit_keys(values: np.ndarray) -> Optional[np.ndarray]:
     """Integer keys whose equality is bit-pattern equality, or None.
@@ -81,6 +94,64 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     view = arr.view()
     view.flags.writeable = False
     return view
+
+
+def in_range(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``lo <= values <= hi`` compared as ``RangeSelection.mask`` does.
+
+    The kernels hand bounds in as Python floats; against a float16/float32
+    array a Python float is cast down to the array's precision (NEP 50),
+    while the selection's own float64 bounds widen the array instead.
+    Narrow floats therefore get float64 scalars, so every mask is the
+    selection's, bit for bit.
+    """
+    if values.dtype.char in "ef":
+        lo, hi = np.float64(lo), np.float64(hi)
+    return (values >= lo) & (values <= hi)
+
+
+class SortedIndex:
+    """The rows of one float64 column in ascending value order.
+
+    ``order`` is the column's ``argsort`` (NaN rows last), ``uint16``
+    when the column has at most 65 536 rows and ``int32`` above; every
+    :data:`FENCE_STRIDE`-th sorted value is kept in ``fences``.  That is
+    about 2.1 B a row next to the column's 8 — no sorted copy of the
+    values is kept: a bound searches the fences, then the one block of
+    :data:`FENCE_STRIDE` values it fell into, gathered through ``order``.
+
+    ``searchsorted`` orders NaN after every number and treats ``-0.0``
+    and ``0.0`` as equal, exactly as ``>=``/``<=`` do, so ``side="left"``
+    for the low bound and ``"right"`` for the high one reproduce the
+    comparison's row set for ties, signed zeros and NaN rows; a NaN bound
+    selects nothing, as the comparison says.
+    """
+
+    __slots__ = ("order", "fences", "_values")
+
+    def __init__(self, values: np.ndarray) -> None:
+        order = np.argsort(values)
+        self.order = _readonly(
+            order.astype(np.uint16 if values.shape[0] <= 65536 else np.int32)
+        )
+        self.fences = _readonly(values[order[::FENCE_STRIDE]])
+        self._values = values
+
+    def _rank(self, bound: float, side: str) -> int:
+        """``searchsorted`` of ``bound`` in the sorted column."""
+        block = int(self.fences.searchsorted(bound, side))
+        if block == 0:
+            return 0
+        start = (block - 1) * FENCE_STRIDE
+        keys = self._values[self.order[start:start + FENCE_STRIDE]]
+        return start + int(keys.searchsorted(bound, side))
+
+    def span(self, lo: float, hi: float) -> Tuple[int, int]:
+        """Sorted positions ``[start, stop)`` of the rows in ``[lo, hi]``."""
+        if lo != lo or hi != hi:
+            return 0, 0
+        start = self._rank(lo, "left")
+        return start, max(start, self._rank(hi, "right"))
 
 
 class EncodedColumn:
@@ -133,8 +204,12 @@ class EncodedColumn:
 
     def range_mask(self, lo: float, hi: float) -> np.ndarray:
         """Boolean mask of ``lo <= value <= hi`` (NaN rows are False)."""
-        v = self.decode()
-        return (v >= lo) & (v <= hi)
+        return in_range(self.decode(), lo, hi)
+
+    def range_mask_at(self, rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        """``range_mask(lo, hi)[rows]`` — raw and dictionary columns
+        compare only the values at ``rows``."""
+        return self.range_mask(lo, hi).take(rows)
 
     def batch_range_masks(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """(n_selections, n_rows) range masks sharing one encoded read."""
@@ -153,11 +228,29 @@ class RawColumn(EncodedColumn):
 
     kind = RAW
 
+    #: Cached :meth:`sorted_index` (built on first use, never charged).
+    _index: Optional[SortedIndex] = None
+
     def __init__(self, values: np.ndarray, value_bytes: int) -> None:
         self.values = _readonly(values)
         self.n_rows = int(values.shape[0])
         self.dtype = values.dtype
         self.encoded_bytes = self.n_rows * int(value_bytes)
+        self.indexable = bool(values.dtype == np.float64)
+
+    def sorted_index(self) -> SortedIndex:
+        """The column's :class:`SortedIndex`, built on the first call.
+
+        Host memory like ``ColumnarPartition._decoded``: neither stored
+        nor charged bytes.  Published by one assignment of a finished
+        object, so two threads racing on a fresh column may both build
+        it, but neither ever reads half of one.  Float64 columns only
+        (``indexable``).
+        """
+        index = self._index
+        if index is None:
+            index = self._index = SortedIndex(self.values)
+        return index
 
     def decode(self) -> np.ndarray:
         return self.values
@@ -169,7 +262,10 @@ class RawColumn(EncodedColumn):
         return self.values[idx]
 
     def range_mask(self, lo: float, hi: float) -> np.ndarray:
-        return (self.values >= lo) & (self.values <= hi)
+        return in_range(self.values, lo, hi)
+
+    def range_mask_at(self, rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        return in_range(self.values.take(rows), lo, hi)
 
     def batch_range_masks(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         v = self.values[None, :]
@@ -263,6 +359,11 @@ class DictionaryColumn(EncodedColumn):
         lo_c, hi_c = self._code_bounds((lo,), (hi,))
         return (self.codes >= lo_c[0]) & (self.codes <= hi_c[0])
 
+    def range_mask_at(self, rows: np.ndarray, lo: float, hi: float) -> np.ndarray:
+        lo_c, hi_c = self._code_bounds((lo,), (hi,))
+        codes = self.codes.take(rows)
+        return (codes >= lo_c[0]) & (codes <= hi_c[0])
+
     def batch_range_masks(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         lo_c, hi_c = self._code_bounds(lows, highs)
         codes = self.codes[None, :]
@@ -321,13 +422,12 @@ class RunLengthColumn(EncodedColumn):
         return self.run_values[run_of]
 
     def range_mask(self, lo: float, hi: float) -> np.ndarray:
-        in_range = (self.run_values >= lo) & (self.run_values <= hi)
-        return np.repeat(in_range, self.run_lengths)
+        return np.repeat(in_range(self.run_values, lo, hi), self.run_lengths)
 
     def batch_range_masks(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         v = self.run_values[None, :]
-        in_range = (v >= lows[:, None]) & (v <= highs[:, None])
-        return np.repeat(in_range, self.run_lengths, axis=1)
+        hit = (v >= lows[:, None]) & (v <= highs[:, None])
+        return np.repeat(hit, self.run_lengths, axis=1)
 
 
 class BitPackedColumn(EncodedColumn):

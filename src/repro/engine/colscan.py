@@ -8,17 +8,26 @@ vectorized compares on raw buffers — one fused numpy pass per column, no
 per-row python), and only the surviving rows of the columns the
 aggregate actually reads are ever decoded into :class:`Table` form.
 
+A single query over a range selection goes further when one residual
+conjunct over a raw float64 column is selective: the column's
+:class:`~repro.cluster.columnar.SortedIndex` turns it into two binary
+searches and the row positions between them, every other conjunct is
+compared at those rows only, and the aggregate gathers them
+(:func:`selected_rows`).  Cost then follows the rows the predicate keeps,
+not the rows stored.
+
 Bitwise identity with the row path is the contract, not an aspiration:
 
 * every encoded range mask equals ``RangeSelection.mask`` on the decoded
   table (floating-point comparisons are exact, and distributing a
   comparison over a dictionary/run domain is a pure re-association of
   *which* rows are compared, never of the comparison itself);
-* ``partial_from_encoded`` builds the masked mini-table from the same
-  ``decode()[mask]`` bit patterns the row path masks, then calls the
-  aggregate's own ``partial`` — the documented equal of
-  ``partial_from_mask`` — so partials, shuffle payload estimates, and
-  merged answers are identical at any worker count.
+* :func:`selected_rows` returns exactly the true positions of that
+  mask, ascending, and ``partial_from_mask`` is ``partial_from_rows`` at
+  those positions, both over :func:`aggregate_table` (the decoded
+  columns the aggregate reads) — the same rows gathered in the same
+  order, so partials, shuffle payload estimates, and merged answers are
+  identical at any worker count.
 
 Pushdown is *conservative*: only selection and aggregate types whose
 column sets are statically known participate (:func:`scan_columns`
@@ -33,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.columnar import ColumnarPartition
+from repro.cluster.columnar import RAW, ColumnarPartition
 from repro.cluster.synopsis import zone_within
 from repro.data.tabular import Table
 from repro.queries.aggregates import (
@@ -70,6 +79,17 @@ class ColumnScan:
 #: overridden partials simply falls back to the row-identical full path.
 _COLUMN_AGGREGATES = (Sum, Mean, Std, Variance, Min, Max, Median, Quantile)
 _SELECTION_TYPES = (RangeSelection, RadiusSelection, KNNSelection)
+
+#: :func:`selected_rows` serves a partition only when its driving conjunct
+#: keeps at most this share of the rows.  Past it, sorting k positions
+#: and gathering each other conjunct and the aggregate at them costs more
+#: than fused compares over all rows: on a 31 250-row partition the two
+#: paths cross at 10-17 % for ``COUNT`` (whose mask path only counts) and
+#: at 25-40 % for ``SUM`` (whose mask path gathers too); EXPERIMENTS E21.
+ROWS_MAX_SHARE = 0.25
+
+#: A range selection as ``(column, lo, hi)`` triples, Python-float bounds.
+Conjuncts = Tuple[Tuple[str, float, float], ...]
 
 
 def aggregate_columns(aggregate: Aggregate) -> Optional[Tuple[str, ...]]:
@@ -110,7 +130,26 @@ def scan_columns(
 
 
 # Encoded predicate evaluation ----------------------------------------------
-def encoded_mask(part: ColumnarPartition, selection: Selection) -> np.ndarray:
+def range_conjuncts(selection: Selection) -> Optional[Conjuncts]:
+    """A range selection's ``(column, lo, hi)`` with Python-float bounds.
+
+    Resolved once per query (``QueryPartialSpec``): the kernels then
+    compare, bisect and search with plain floats on every partition
+    instead of iterating numpy float64 scalars there.  None for every
+    other selection type.
+    """
+    if type(selection) is not RangeSelection:
+        return None
+    return tuple(
+        zip(selection.columns, selection.lows.tolist(), selection.highs.tolist())
+    )
+
+
+def encoded_mask(
+    part: ColumnarPartition,
+    selection: Selection,
+    conjuncts: Optional[Conjuncts] = None,
+) -> np.ndarray:
     """``selection.mask`` evaluated on encoded columns, bitwise equal.
 
     Range selections run per-encoding kernels (dictionary-domain
@@ -120,10 +159,13 @@ def encoded_mask(part: ColumnarPartition, selection: Selection) -> np.ndarray:
     all-true mask is neither built nor and-ed in.  Other selections
     decode just their predicate columns into a scratch table — column
     pruning still applies, only the late-materialization step is lost.
+    ``conjuncts`` is :func:`range_conjuncts` when the caller resolved it.
     """
-    if type(selection) is RangeSelection:
+    if conjuncts is None:
+        conjuncts = range_conjuncts(selection)
+    if conjuncts is not None:
         out = None
-        for name, lo, hi in zip(selection.columns, selection.lows, selection.highs):
+        for name, lo, hi in conjuncts:
             column = part.column(name)
             if zone_within(*column.zone(), lo, hi):
                 continue
@@ -138,6 +180,48 @@ def encoded_mask(part: ColumnarPartition, selection: Selection) -> np.ndarray:
         value_bytes=part.value_bytes,
     )
     return selection.mask(scratch)
+
+
+def selected_rows(
+    part: ColumnarPartition, conjuncts: Conjuncts
+) -> Optional[np.ndarray]:
+    """Ascending positions of the rows the conjuncts select, or None.
+
+    ``np.flatnonzero(encoded_mask(part, selection))`` without the mask.
+    Of the residual conjuncts (the zone did not prove them true), the one
+    over a raw float64 column whose sorted index spans the fewest rows
+    drives; every other residual conjunct is compared at those rows only
+    (``range_mask_at``: codes for a dictionary column, values for a raw
+    one, the expanded mask for any other), and the survivors are sorted,
+    so aggregates gather them in the scan's order.  None when no raw
+    conjunct keeps at most :data:`ROWS_MAX_SHARE` of the partition: the
+    caller builds the mask.  Indexes are built here, on the first
+    conjunct that has to compare a column, and stay with the (immutable)
+    column.
+    """
+    residual = []
+    driver = None
+    best = part.n_rows * ROWS_MAX_SHARE
+    for name, lo, hi in conjuncts:
+        column = part.column(name)
+        if zone_within(*column.zone(), lo, hi):
+            continue
+        if column.kind == RAW and column.indexable:
+            index = column.sorted_index()
+            start, stop = index.span(lo, hi)
+            if stop - start <= best:
+                best = stop - start
+                driver = (len(residual), index.order[start:stop])
+        residual.append((column, lo, hi))
+    if driver is None:
+        return None
+    position, rows = driver
+    for i, (column, lo, hi) in enumerate(residual):
+        if i != position and rows.shape[0]:
+            rows = rows.compress(column.range_mask_at(rows, lo, hi))
+    # The narrow positions sort in half the time of intp ones, and intp
+    # is what the aggregates' gathers index fastest with (no cast).
+    return np.sort(rows).astype(np.intp)
 
 
 def encoded_batch_masks(
@@ -174,47 +258,47 @@ def encoded_batch_masks(
 
 
 # Late-materialized partials -------------------------------------------------
-_UNRESOLVED = object()  # sentinel: caller did not precompute the columns
+_UNRESOLVED = object()  # sentinel: the caller did not resolve the columns
 
 
-def partial_from_encoded(
-    part: ColumnarPartition,
-    aggregate: Aggregate,
-    mask: np.ndarray,
-    columns=_UNRESOLVED,
-):
-    """The aggregate's partition partial from an encoded mask.
+def aggregate_table(part: ColumnarPartition, columns) -> Table:
+    """The decoded columns an aggregate reads, for its partial.
 
-    Decodes only the surviving rows of the aggregate's own columns and
-    feeds them to ``aggregate.partial`` — bitwise equal to
-    ``aggregate.partial_from_mask(decoded_partition, mask)`` because the
-    masked gathers reproduce ``decode()[mask]`` exactly and
-    ``partial_from_mask`` is documented to equal
-    ``partial(table.select(mask))``.
-
-    Batched callers that resolve :func:`aggregate_columns` once per job
-    pass the result as ``columns`` to skip re-dispatching it for every
-    (job, partition) pair on the shared-pass hot path.
+    ``columns`` is the aggregate's :func:`aggregate_columns`: a cached
+    scratch of just those (``decode()`` arrays bit for bit, so a partial
+    over it equals the row path's), or the full decode when they are not
+    statically known.  Raw columns decode for free and every decode is
+    cached on the partition, so a batched wave pays the dictionary/run
+    expansion once, not once per query.
     """
-    if columns is _UNRESOLVED:
-        columns = aggregate_columns(aggregate)
     if columns is None:
-        # Unknown aggregate shape: full decode, then the row-path partial.
-        return aggregate.partial_from_mask(part.to_table(), mask)
-    if not columns:
-        # Count is the only column-less aggregate; its partial_from_mask
-        # is float(np.count_nonzero(mask)) regardless of the table.
-        return float(np.count_nonzero(mask))
-    # Gather survivors from the partition's cached decoded scratch of
-    # just these columns: ``partial_from_mask`` is documented to equal
-    # ``partial(table.select(mask))``, the scratch holds ``decode()``
-    # arrays bit for bit, and the decode itself amortizes to one pass
-    # per column per partition (zero for raw columns) across a wave.
-    return aggregate.partial_from_mask(part.scratch_table(columns), mask)
+        return part.to_table()
+    return part.scratch_table(columns)
 
 
 def columnar_partial(
-    part: ColumnarPartition, selection: Selection, aggregate: Aggregate
+    part: ColumnarPartition,
+    selection: Selection,
+    aggregate: Aggregate,
+    conjuncts: Optional[Conjuncts] = None,
+    columns=_UNRESOLVED,
 ):
-    """One partition's partial: encoded predicate + late materialization."""
-    return partial_from_encoded(part, aggregate, encoded_mask(part, selection))
+    """One partition's partial: encoded predicate + late materialization.
+
+    From :func:`selected_rows` when a selective raw conjunct drives,
+    from the full encoded mask otherwise; the two are bitwise equal.
+    ``conjuncts`` and ``columns`` are the per-query resolutions
+    (:func:`range_conjuncts`, :func:`aggregate_columns`), when known.
+    """
+    if conjuncts is None:
+        conjuncts = range_conjuncts(selection)
+    if columns is _UNRESOLVED:
+        columns = aggregate_columns(aggregate)
+    table = aggregate_table(part, columns)
+    if conjuncts is not None:
+        rows = selected_rows(part, conjuncts)
+        if rows is not None:
+            return aggregate.partial_from_rows(table, rows)
+    return aggregate.partial_from_mask(
+        table, encoded_mask(part, selection, conjuncts)
+    )

@@ -9,18 +9,20 @@ and bill every job as if it had scanned alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.columnar import ColumnarPartition
+from repro.cluster.columnar import ColumnarPartition, in_range
 from repro.engine.colscan import (
     aggregate_columns,
+    aggregate_table,
     columnar_partial,
     encoded_batch_masks,
+    range_conjuncts,
 )
-from repro.queries.selections import RangeSelection, batch_masks
+from repro.queries.selections import batch_masks
 
 __all__ = [
     "QueryPartialSpec",
@@ -37,16 +39,35 @@ class QueryPartialSpec:
     Mirrors ``ExactEngine._job_fns``'s historical closure exactly: the
     encoded path on columnar partitions, the fused mask/partial row path
     otherwise.  Returns the map-output pair list the reducer expects.
+    A range selection's bounds (as Python floats) and the aggregate's
+    column set are resolved once here, not once per partition.
     """
 
     selection: Any
     aggregate: Any
+    conjuncts: Any = field(init=False, repr=False, compare=False)
+    columns: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "conjuncts", range_conjuncts(self.selection))
+        object.__setattr__(self, "columns", aggregate_columns(self.aggregate))
 
     def __call__(self, partition) -> List[Tuple[int, Any]]:
         if isinstance(partition, ColumnarPartition):
             # Encoded predicate + late materialization: bitwise equal
             # to the row path below by colscan's contract.
-            return [(0, columnar_partial(partition, self.selection, self.aggregate))]
+            return [
+                (
+                    0,
+                    columnar_partial(
+                        partition,
+                        self.selection,
+                        self.aggregate,
+                        self.conjuncts,
+                        self.columns,
+                    ),
+                )
+            ]
         # Row path: mask + partial in fused numpy passes —
         # partial_from_mask is documented to equal
         # partial(partition.select(mask)) without materializing the
@@ -55,13 +76,14 @@ class QueryPartialSpec:
             (
                 0,
                 self.aggregate.partial_from_mask(
-                    partition, _span_mask(partition, self.selection)
+                    partition,
+                    _span_mask(partition, self.selection, self.conjuncts),
                 ),
             )
         ]
 
 
-def _span_mask(table, selection) -> np.ndarray:
+def _span_mask(table, selection, conjuncts=None) -> np.ndarray:
     """``selection.mask(table)``, bit for bit, comparing only rows that
     a sorted column cannot rule out by position.
 
@@ -72,13 +94,17 @@ def _span_mask(table, selection) -> np.ndarray:
     ``[start, stop)``; the other conjuncts are compared over that span
     only and every row outside it stays False.  A NaN bound selects
     nothing, which the comparison already says.  With no sorted column
-    this is the plain mask.
+    this is the plain mask.  ``conjuncts`` is
+    :func:`~repro.engine.colscan.range_conjuncts` when the caller
+    resolved it.
     """
-    if type(selection) is not RangeSelection:
-        return selection.mask(table)
+    if conjuncts is None:
+        conjuncts = range_conjuncts(selection)
+        if conjuncts is None:
+            return selection.mask(table)
     start, stop = 0, table.n_rows
     rest = []
-    for conjunct in zip(selection.columns, selection.lows, selection.highs):
+    for conjunct in conjuncts:
         name, lo, hi = conjunct
         if lo == lo and hi == hi and table.is_sorted(name):
             col = table.column(name)
@@ -86,39 +112,28 @@ def _span_mask(table, selection) -> np.ndarray:
             stop = min(stop, int(col.searchsorted(hi, "right")))
         else:
             rest.append(conjunct)
-    if len(rest) == len(selection.columns):
+    if len(rest) == len(conjuncts):
         return selection.mask(table)
     mask = np.zeros(table.n_rows, dtype=bool)
     span = mask[start:stop]
     span[:] = True
     for name, lo, hi in rest:
-        col = table.column(name)[start:stop]
-        span &= (col >= lo) & (col <= hi)
+        span &= in_range(table.column(name)[start:stop], lo, hi)
     return mask
 
 
 class BatchPartialSpec:
     """Shared batch-pass kernel: broadcast masks, per-job partials.
 
-    ``ExactEngine.execute_many``'s ``multi_map_fn``.  The per-aggregate
-    decode target (full decode, cached scratch of the aggregate's own
-    columns, or — for the column-less Count — the mask itself) is
-    resolved per call from column sets computed once here.
+    ``ExactEngine.execute_many``'s ``multi_map_fn``.  Each aggregate's
+    column set is computed once here, and its decode target (full decode
+    or the cached scratch of its own columns) per call from that.
     """
 
     def __init__(self, selections: Sequence[Any], aggregates: Sequence[Any]) -> None:
         self.selections = tuple(selections)
         self.aggregates = tuple(aggregates)
         self.aggregate_cols = tuple(aggregate_columns(a) for a in aggregates)
-
-    def _encoded_partial(self, job: int, partition, mask) -> Any:
-        cols = self.aggregate_cols[job]
-        aggregate = self.aggregates[job]
-        if cols is None:
-            return aggregate.partial_from_mask(partition.to_table(), mask)
-        if not cols:  # column-less (Count): mask cardinality
-            return float(np.count_nonzero(mask))
-        return aggregate.partial_from_mask(partition.scratch_table(cols), mask)
 
     def __call__(self, partition, active=None) -> List[List[Tuple[int, Any]]]:
         if active is None:
@@ -131,7 +146,15 @@ class BatchPartialSpec:
                 [self.selections[j] for j in active], partition
             )
             return [
-                [(0, self._encoded_partial(j, partition, mask))]
+                [
+                    (
+                        0,
+                        self.aggregates[j].partial_from_mask(
+                            aggregate_table(partition, self.aggregate_cols[j]),
+                            mask,
+                        ),
+                    )
+                ]
                 for j, mask in zip(active, masks)
             ]
         masks = batch_masks([self.selections[j] for j in active], partition)

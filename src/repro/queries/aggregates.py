@@ -39,15 +39,26 @@ class Aggregate:
         """Partial state from one partition (decomposable aggregates)."""
         raise NotImplementedError
 
-    def partial_from_mask(self, table: Table, mask: np.ndarray) -> Any:
-        """Partial state of the masked rows of ``table``.
+    def partial_from_rows(self, table: Table, rows: np.ndarray) -> Any:
+        """Partial state of the rows of ``table`` at positions ``rows``.
 
-        Always equal to ``partial(table.select(mask))``.  The base
-        implementation materialises the selected sub-table; column
-        aggregates override it to mask only the columns they read, which
-        is what makes shared-scan batched execution cheap.
+        ``rows`` ascend, so this is always equal to
+        ``partial(table.take(rows))``: the same rows in the same order,
+        hence the same bits.  The base implementation materialises the
+        sub-table; column aggregates override it to gather only the
+        columns they read, which is what makes late materialization and
+        shared-scan batched execution cheap.
         """
-        return self.partial(table.select(mask))
+        return self.partial(table.take(rows))
+
+    def partial_from_mask(self, table: Table, mask: np.ndarray) -> Any:
+        """Partial state of the masked rows: ``partial(table.select(mask))``.
+
+        Gathered by index because numpy's boolean gather branches per row
+        and mispredicts on scattered masks (31 250 float64 rows at 50 %:
+        ~120 us against ~30 us; EXPERIMENTS.md E21 has the table).
+        """
+        return self.partial_from_rows(table, mask.nonzero()[0])
 
     def merge(self, partials: List[Any]) -> float:
         """Combine partition states into the final value."""
@@ -68,22 +79,16 @@ class Count(Aggregate):
     def partial(self, table: Table) -> float:
         return float(table.n_rows)
 
+    def partial_from_rows(self, table: Table, rows: np.ndarray) -> float:
+        return float(rows.shape[0])
+
     def partial_from_mask(self, table: Table, mask: np.ndarray) -> float:
+        # A mask's cardinality needs no row positions: counting is ~10x
+        # cheaper than the ``nonzero`` the base adapter would build.
         return float(np.count_nonzero(mask))
 
     def merge(self, partials: List[float]) -> float:
         return float(sum(partials))
-
-
-def _masked(col: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``col[mask]`` for a boolean ``mask``: the same rows in the same order.
-
-    Gathered by index because numpy's boolean gather branches per row
-    and mispredicts on scattered masks (31 250 float64 rows at 50 %:
-    ~120 us against ~30 us; EXPERIMENTS.md E21 has the table, including
-    the contiguous masks where the index form is the slower one).
-    """
-    return col[mask.nonzero()[0]]
 
 
 class _ColumnAggregate(Aggregate):
@@ -101,8 +106,8 @@ class Sum(_ColumnAggregate):
     def partial(self, table: Table) -> float:
         return self.compute(table)
 
-    def partial_from_mask(self, table: Table, mask: np.ndarray) -> float:
-        col = _masked(table.column(self.column), mask)
+    def partial_from_rows(self, table: Table, rows: np.ndarray) -> float:
+        col = table.column(self.column)[rows]
         if col.size == 0:
             return 0.0
         return float(col.sum())
@@ -122,8 +127,8 @@ class Mean(_ColumnAggregate):
             return (0.0, 0)
         return (float(table.column(self.column).sum()), table.n_rows)
 
-    def partial_from_mask(self, table: Table, mask: np.ndarray) -> Tuple[float, int]:
-        col = _masked(table.column(self.column), mask)
+    def partial_from_rows(self, table: Table, rows: np.ndarray) -> Tuple[float, int]:
+        col = table.column(self.column)[rows]
         if col.size == 0:
             return (0.0, 0)
         return (float(col.sum()), int(col.size))
@@ -146,10 +151,10 @@ class Std(_ColumnAggregate):
         col = table.column(self.column).astype(float)
         return (float(col.sum()), float((col**2).sum()), table.n_rows)
 
-    def partial_from_mask(
-        self, table: Table, mask: np.ndarray
+    def partial_from_rows(
+        self, table: Table, rows: np.ndarray
     ) -> Tuple[float, float, int]:
-        col = _masked(table.column(self.column), mask).astype(float)
+        col = table.column(self.column)[rows].astype(float)
         return (float(col.sum()), float((col**2).sum()), int(col.size))
 
     def merge(self, partials: List[Tuple[float, float, int]]) -> float:
@@ -173,8 +178,8 @@ class Min(_ColumnAggregate):
     def partial(self, table: Table) -> float:
         return self.compute(table)
 
-    def partial_from_mask(self, table: Table, mask: np.ndarray) -> float:
-        col = _masked(table.column(self.column), mask)
+    def partial_from_rows(self, table: Table, rows: np.ndarray) -> float:
+        col = table.column(self.column)[rows]
         if col.size == 0:
             return float("inf")
         return float(col.min())
@@ -194,8 +199,8 @@ class Max(_ColumnAggregate):
     def partial(self, table: Table) -> float:
         return self.compute(table)
 
-    def partial_from_mask(self, table: Table, mask: np.ndarray) -> float:
-        col = _masked(table.column(self.column), mask)
+    def partial_from_rows(self, table: Table, rows: np.ndarray) -> float:
+        col = table.column(self.column)[rows]
         if col.size == 0:
             return float("-inf")
         return float(col.max())
@@ -216,10 +221,10 @@ class Variance(_ColumnAggregate):
         col = table.column(self.column).astype(float)
         return (float(col.sum()), float((col**2).sum()), table.n_rows)
 
-    def partial_from_mask(
-        self, table: Table, mask: np.ndarray
+    def partial_from_rows(
+        self, table: Table, rows: np.ndarray
     ) -> Tuple[float, float, int]:
-        col = _masked(table.column(self.column), mask).astype(float)
+        col = table.column(self.column)[rows].astype(float)
         return (float(col.sum()), float((col**2).sum()), int(col.size))
 
     def merge(self, partials: List[Tuple[float, float, int]]) -> float:
@@ -244,8 +249,8 @@ class Median(_ColumnAggregate):
     def partial(self, table: Table) -> np.ndarray:
         return table.column(self.column).astype(float)
 
-    def partial_from_mask(self, table: Table, mask: np.ndarray) -> np.ndarray:
-        return _masked(table.column(self.column), mask).astype(float)
+    def partial_from_rows(self, table: Table, rows: np.ndarray) -> np.ndarray:
+        return table.column(self.column)[rows].astype(float)
 
     def merge(self, partials: List[np.ndarray]) -> float:
         values = np.concatenate(partials) if partials else np.empty(0)
@@ -271,8 +276,8 @@ class Quantile(_ColumnAggregate):
     def partial(self, table: Table) -> np.ndarray:
         return table.column(self.column).astype(float)
 
-    def partial_from_mask(self, table: Table, mask: np.ndarray) -> np.ndarray:
-        return _masked(table.column(self.column), mask).astype(float)
+    def partial_from_rows(self, table: Table, rows: np.ndarray) -> np.ndarray:
+        return table.column(self.column)[rows].astype(float)
 
     def merge(self, partials: List[np.ndarray]) -> float:
         values = np.concatenate(partials) if partials else np.empty(0)
@@ -306,11 +311,11 @@ class Correlation(Aggregate):
             table.n_rows,
         )
 
-    def partial_from_mask(
-        self, table: Table, mask: np.ndarray
+    def partial_from_rows(
+        self, table: Table, rows: np.ndarray
     ) -> Tuple[float, float, float, float, float, int]:
-        a = _masked(table.column(self.column_a), mask).astype(float)
-        b = _masked(table.column(self.column_b), mask).astype(float)
+        a = table.column(self.column_a)[rows].astype(float)
+        b = table.column(self.column_b)[rows].astype(float)
         return (
             float(a.sum()),
             float(b.sum()),
